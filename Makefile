@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke bench shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
+.PHONY: ci vet build test race perfbench-test bench-smoke bench shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
 
-ci: vet build race bench-smoke shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
+ci: vet build race perfbench-test bench-smoke shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
 
 vet:
 	$(GO) vet ./...
@@ -19,6 +19,12 @@ test:
 # The engine is concurrent; everything must be race-clean at every -j.
 race:
 	$(GO) test -race ./...
+
+# The benchmark is a module of its own (perfbench/go.mod), so ./... above
+# does not reach it: its catalogue and wrapper tests, without the traced
+# census (-short).
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # One iteration of the cheap benchmarks: keeps the harness compiling and
 # running without paying for the full study regeneration.

@@ -126,6 +126,9 @@ type Executable struct {
 
 	keyOnce sync.Once
 	key     string
+
+	dispOnce sync.Once
+	disp     *dispatch
 }
 
 // Link builds an executable from a plan. An error is returned for malformed
@@ -220,50 +223,73 @@ func (e *Executable) Driver() string { return e.driver }
 // Program returns the application this executable was built from.
 func (e *Executable) Program() *prog.Program { return e.prog }
 
-// fileCompilation returns the compilation assigned to a whole file.
-func (e *Executable) fileCompilation(file string) comp.Compilation {
-	if c, ok := e.fileComp[file]; ok {
-		return c
-	}
-	return e.baseline
+// dispatch is an executable's symbol resolution compiled to integers: the
+// compilations the executable links, interned by ==, and per symbol ID the
+// index of the compilation providing it. Equality interning keeps the
+// Inject plan's pointer identity, so two indices never name equal
+// compilations — the env-sharing rule Machine's env table relies on.
+type dispatch struct {
+	comps []comp.Compilation
+	// symComp[sym.ID] indexes comps. For an exported symbol it is the
+	// compilation providing its strong definition; for an internal one, its
+	// file's compilation — the binding when no same-file caller is on the
+	// stack.
+	symComp []int
 }
 
-// exportedCompilation resolves the compilation providing an exported
-// symbol's strong definition.
-func (e *Executable) exportedCompilation(sym *prog.Symbol) comp.Compilation {
-	if c, ok := e.symComp[sym.Name]; ok {
-		return c
-	}
-	if e.fileHasSymbolOverrides(sym.File) {
-		// The file is linked as two -fPIC copies; non-overridden exported
-		// symbols bind to the baseline copy.
-		return e.baseline.WithFPIC()
-	}
-	return e.fileCompilation(sym.File)
+// dispatch returns the executable's compiled resolution table, building it
+// on first use.
+func (e *Executable) dispatch() *dispatch {
+	e.dispOnce.Do(func() { e.disp = e.compileDispatch() })
+	return e.disp
 }
 
-func (e *Executable) fileHasSymbolOverrides(file string) bool {
+func (e *Executable) compileDispatch() *dispatch {
+	d := &dispatch{symComp: make([]int, e.prog.NumSymbols())}
+	intern := func(c comp.Compilation) int {
+		for i, have := range d.comps {
+			if have == c {
+				return i
+			}
+		}
+		d.comps = append(d.comps, c)
+		return len(d.comps) - 1
+	}
+	// A file holding a symbol override is linked as two -fPIC copies; its
+	// non-overridden exported symbols bind to the baseline copy.
+	split := make([]bool, len(e.prog.Files()))
 	for s := range e.symComp {
-		if e.prog.Symbol(s).File == file {
-			return true
+		split[e.prog.Symbol(s).FileID] = true
+	}
+	for _, f := range e.prog.Files() {
+		fc, ok := e.fileComp[f.Name]
+		if !ok {
+			fc = e.baseline
+		}
+		fileCI := intern(fc)
+		for _, sym := range f.Symbols {
+			ci := fileCI
+			if sym.Exported {
+				if c, ok := e.symComp[sym.Name]; ok {
+					ci = intern(c)
+				} else if split[sym.FileID] {
+					ci = intern(e.baseline.WithFPIC())
+				}
+			}
+			d.symComp[sym.ID] = ci
 		}
 	}
-	return false
+	return d
 }
 
 // Cost returns the deterministic runtime cost of executing the program from
 // the given roots under this executable's symbol resolution. Internal
 // symbols are charged at their file's compilation.
 func (e *Executable) Cost(roots ...string) float64 {
+	d := e.dispatch()
 	var total float64
 	for _, sym := range sortedSymbols(e.prog.Reachable(roots...)) {
-		var c comp.Compilation
-		if sym.Exported {
-			c = e.exportedCompilation(sym)
-		} else {
-			c = e.fileCompilation(sym.File)
-		}
-		total += sym.Work * comp.SpeedFactor(c, sym)
+		total += sym.Work * comp.SpeedFactor(d.comps[d.symComp[sym.ID]], sym)
 	}
 	return total
 }

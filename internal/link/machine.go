@@ -21,31 +21,25 @@ import (
 // safe for concurrent use; create one Machine per goroutine.
 type Machine struct {
 	ex    *Executable
+	d     *dispatch
 	stack []frame
-	// envs caches one fp.Env per (symbol, providing compilation) for the
-	// lifetime of the run, so a function's dynamic instruction counter
-	// accumulates across invocations — an injection at static instruction
-	// k of a function called many times fires on every pass through its
-	// body, exactly like a real static-instruction perturbation.
-	//
-	// The key is a comparable struct, not a serialized string: Fn runs once
-	// per simulated function invocation, and building a key string there
-	// (the pre-sharding code used sym + "\x00" + c.Key()) dominated whole-
-	// study profiles. Within one machine every compilation resolves from
-	// the executable's own plan values, so struct equality — including the
-	// Inject plan's pointer identity — is exactly the sharing the dynamic
-	// instruction counters need.
-	envs map[envKey]*fp.Env
+	// envs holds one fp.Env per (symbol, providing compilation) for the
+	// lifetime of the run, at index sym.ID*len(d.comps)+ci, so a function's
+	// dynamic instruction counter accumulates across invocations — an
+	// injection at static instruction k of a function called many times
+	// fires on every pass through its body, exactly like a real
+	// static-instruction perturbation. The compilations are interned by ==
+	// (Inject pointer identity included), which is exactly the sharing the
+	// dynamic instruction counters need.
+	envs []*fp.Env
+	// done pops the innermost frame; bound once so Fn does not allocate.
+	done func()
 }
 
-type envKey struct {
-	sym string
-	c   comp.Compilation
-}
-
+// frame is one simulated activation: the running symbol's file and the
+// index of the compilation whose copy of that file it runs in.
 type frame struct {
-	sym *prog.Symbol
-	c   comp.Compilation
+	file, ci int
 }
 
 // NewMachine returns a machine for one run of the executable. It returns
@@ -54,7 +48,10 @@ func (e *Executable) NewMachine() (*Machine, error) {
 	if e.crash {
 		return nil, ErrSegfault
 	}
-	return &Machine{ex: e, envs: make(map[envKey]*fp.Env)}, nil
+	d := e.dispatch()
+	m := &Machine{ex: e, d: d, envs: make([]*fp.Env, e.prog.NumSymbols()*len(d.comps))}
+	m.done = m.pop
+	return m, nil
 }
 
 // Fn enters the named function: it resolves which compilation provides this
@@ -63,49 +60,40 @@ func (e *Executable) NewMachine() (*Machine, error) {
 // a function that must be deferred to leave the frame.
 func (m *Machine) Fn(symbol string) (*fp.Env, func()) {
 	sym := m.ex.prog.MustSymbol(symbol)
-	c := m.resolve(sym)
-	m.stack = append(m.stack, frame{sym: sym, c: c})
-	env := m.buildEnv(sym, c)
-	return env, m.pop
+	ci := m.d.symComp[sym.ID]
+	if !sym.Exported {
+		// Internal symbol: bound to the copy of its file that the nearest
+		// same-file caller on the stack came from. With no same-file
+		// caller (e.g. a test harness calling an internal function
+		// directly) it keeps the file-level compilation.
+		for i := len(m.stack) - 1; i >= 0; i-- {
+			if m.stack[i].file == sym.FileID {
+				ci = m.stack[i].ci
+				break
+			}
+		}
+	}
+	m.stack = append(m.stack, frame{file: sym.FileID, ci: ci})
+	slot := sym.ID*len(m.d.comps) + ci
+	env := m.envs[slot]
+	if env == nil {
+		env = m.newEnv(sym, m.d.comps[ci])
+		m.envs[slot] = env
+	}
+	return env, m.done
 }
 
 func (m *Machine) pop() {
 	m.stack = m.stack[:len(m.stack)-1]
 }
 
-// resolve decides which compilation's code runs for this invocation.
-func (m *Machine) resolve(sym *prog.Symbol) comp.Compilation {
-	if sym.Exported {
-		return m.ex.exportedCompilation(sym)
-	}
-	// Internal symbol: bound to the copy of its file that the nearest
-	// same-file caller on the stack came from. With no same-file caller
-	// (e.g. a test harness calling an internal function directly) it
-	// binds to the file-level compilation.
-	for i := len(m.stack) - 1; i >= 0; i-- {
-		if m.stack[i].sym.File == sym.File {
-			return m.stack[i].c
-		}
-	}
-	return m.ex.fileCompilation(sym.File)
-}
-
-// buildEnv returns the run-scoped fp.Env for one symbol under one
-// compilation, creating it on first entry.
-func (m *Machine) buildEnv(sym *prog.Symbol, c comp.Compilation) *fp.Env {
-	key := envKey{sym: sym.Name, c: c}
-	if env, ok := m.envs[key]; ok {
-		return env
-	}
+// newEnv builds the fp.Env for one symbol under one compilation.
+func (m *Machine) newEnv(sym *prog.Symbol, c comp.Compilation) *fp.Env {
 	sem := comp.ApplyLinkStep(m.ex.driver, sym, comp.Semantics(c, sym))
-	var env *fp.Env
 	if c.Inject != nil && c.Inject.Symbol == sym.Name {
-		env = fp.NewInjectedEnv(sem, sym.FPOps, c.Inject.Inj)
-	} else {
-		env = fp.NewEnv(sem)
+		return fp.NewInjectedEnv(sem, sym.FPOps, c.Inject.Inj)
 	}
-	m.envs[key] = env
-	return env
+	return fp.NewEnv(sem)
 }
 
 // Comp returns the compilation providing the current (innermost) frame.
@@ -117,7 +105,7 @@ func (m *Machine) Comp() comp.Compilation {
 	if len(m.stack) == 0 {
 		return m.ex.baseline
 	}
-	return m.stack[len(m.stack)-1].c
+	return m.d.comps[m.stack[len(m.stack)-1].ci]
 }
 
 // Depth returns the current simulated call-stack depth (for tests).

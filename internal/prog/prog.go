@@ -35,6 +35,11 @@ type Symbol struct {
 	Callees []string
 	// SLOC is the body's source-lines-of-code for Table 3 style statistics.
 	SLOC int
+	// ID is the symbol's dense index within its program, assigned by
+	// AddFile in definition order (0 .. NumSymbols-1). FileID is the
+	// definition-order index of its file. Both let the linker resolve
+	// symbols once into integer-indexed tables instead of by name.
+	ID, FileID int
 }
 
 // Features flags which floating-point patterns a function body contains.
@@ -95,6 +100,7 @@ func (p *Program) AddFile(name string, symbols ...*Symbol) *File {
 			panic(fmt.Sprintf("prog: duplicate symbol %q", s.Name))
 		}
 		s.File = name
+		s.ID, s.FileID = len(p.syms), len(p.files)
 		if s.Work <= 0 {
 			s.Work = 1
 		}
@@ -126,6 +132,10 @@ func (p *Program) File(name string) *File {
 	}
 	return nil
 }
+
+// NumSymbols returns the number of symbols; Symbol.ID ranges over
+// [0, NumSymbols).
+func (p *Program) NumSymbols() int { return len(p.syms) }
 
 // Symbol returns the named symbol, or nil.
 func (p *Program) Symbol(name string) *Symbol { return p.syms[name] }

@@ -43,6 +43,19 @@ func TestAddFileAndLookup(t *testing.T) {
 	if names[0] != "vector.cpp" || names[1] != "solver.cpp" {
 		t.Fatalf("FileNames order wrong: %v", names)
 	}
+	// IDs are dense in definition order; FileID indexes Files().
+	id := 0
+	for fi, f := range p.Files() {
+		for _, s := range f.Symbols {
+			if s.ID != id || s.FileID != fi {
+				t.Fatalf("%s: ID=%d FileID=%d, want %d, %d", s.Name, s.ID, s.FileID, id, fi)
+			}
+			id++
+		}
+	}
+	if p.NumSymbols() != id {
+		t.Fatalf("NumSymbols() = %d, want %d", p.NumSymbols(), id)
+	}
 }
 
 func TestDuplicateFilePanics(t *testing.T) {

@@ -8,6 +8,9 @@
 #                    at every -j, and per-package statement coverage is
 #                    appended to BENCH_shard.json so the test-quality
 #                    trajectory is tracked alongside the perf one)
+#   perfbench test   the benchmark module's own tests (catalogue, wrapper,
+#                    schedules) with -short, skipping the traced census;
+#                    perfbench/ is a separate module that ./... misses
 #   bench smoke      one iteration of the cheap benchmarks, so the
 #                    benchmark harness itself cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -95,6 +98,8 @@ cat "$SHARD_TMP/cover.txt"
 	}' "$SHARD_TMP/cover.txt"
 	printf '}}\n'
 } >>"$PWD/BENCH_shard.json"
+
+(cd perfbench && go test -short ./...)
 
 go test -run NONE -bench 'BenchmarkTable3CodeStats|BenchmarkMotivation' -benchtime 1x .
 
