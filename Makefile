@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race perfbench-test bench-smoke bench shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
+.PHONY: ci vet build test race fuzz-smoke perfbench-test bench-smoke bench shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
 
-ci: vet build race perfbench-test bench-smoke shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
+ci: vet build race fuzz-smoke perfbench-test bench-smoke shard-smoke incremental-smoke remote-smoke coord-smoke bench-shard
 
 vet:
 	$(GO) vet ./...
@@ -19,6 +19,11 @@ test:
 # The engine is concurrent; everything must be race-clean at every -j.
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of coverage-guided fuzzing of the store envelope decoder, the
+# trust boundary every disk read and remote body crosses.
+fuzz-smoke:
+	$(GO) test -run NONE -fuzz '^FuzzRemoteDecode$$' -fuzztime 10s ./internal/store
 
 # The benchmark is a module of its own (perfbench/go.mod), so ./... above
 # does not reach it: its catalogue and wrapper tests, without the traced

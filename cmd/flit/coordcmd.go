@@ -27,13 +27,26 @@ import (
 // requests before closing their connections.
 const drainTimeout = 5 * time.Second
 
+// Resource bounds of the store and coordinator servers. Every request
+// line is short — object paths are a fixed 64 hex characters, coordinator
+// paths a campaign ID and a verb — and every header set is a handful of
+// fields, so a header block past maxHeaderBytes is refused with 431. A
+// client gets readHeaderTimeout to send its headers and an idle
+// keep-alive connection is closed after idleTimeout.
+const (
+	maxHeaderBytes    = 8 << 10
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveGracefully serves h on ln until SIGINT/SIGTERM (or the optional
 // done channel fires), then stops accepting, drains in-flight requests
 // within drainTimeout, and returns nil — so a supervised `flit store
 // serve` or `flit coord serve` exits 0 on an orderly stop instead of
 // dying mid-response.
 func serveGracefully(h http.Handler, ln net.Listener, done <-chan struct{}, stdout io.Writer) error {
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, MaxHeaderBytes: maxHeaderBytes,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -82,7 +95,7 @@ func cmdCoord(args []string, stdout, stderr io.Writer) error {
 // process owns one coordinator directory holding the journal, the
 // completed shard artifacts (one subdirectory per campaign), and an
 // object store; its HTTP mux serves both the coordination protocol
-// (/v1/coord/) and the object-store protocol (/v1/objects/), so workers
+// (/v1/coord/) and the object-store protocol (/v2/objects/), so workers
 // point a single -coord URL at it for scheduling *and* result
 // write-through. The coordinator is multi-tenant: -command/-shards
 // submits an initial campaign, `flit coord submit` adds more while it

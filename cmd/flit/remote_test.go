@@ -2,12 +2,19 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // syncBuffer is a goroutine-safe writer for output produced by an
@@ -205,7 +212,7 @@ func TestStoreServeFlagParsing(t *testing.T) {
 	// -store flag refuses it.
 	foreign := t.TempDir()
 	if err := os.WriteFile(filepath.Join(foreign, "store.json"),
-		[]byte(`{"store_version":1,"engine":"flit-engine/0"}`), 0o644); err != nil {
+		[]byte(fmt.Sprintf(`{"store_version":%d,"engine":"flit-engine/0"}`, store.FormatVersion)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	stderr.Reset()
@@ -214,5 +221,47 @@ func TestStoreServeFlagParsing(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "flit-engine/0") {
 		t.Errorf("diagnostic does not name the foreign engine: %s", stderr.String())
+	}
+}
+
+// TestServeRefusesOversizedHeaders: the servers behind `flit store serve`
+// and `flit coord serve` refuse a header block past maxHeaderBytes before
+// any handler runs, and keep serving ordinary requests.
+func TestServeRefusesOversizedHeaders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reached atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { reached.Add(1) })
+	done := make(chan struct{})
+	served := make(chan error, 1)
+	go func() { served <- serveGracefully(h, ln, done, io.Discard) }()
+
+	get := func(header string) int {
+		req, err := http.NewRequest(http.MethodGet, "http://"+ln.Addr().String()+"/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Pad", header)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := get(strings.Repeat("x", 64<<10)); got != http.StatusRequestHeaderFieldsTooLarge {
+		t.Errorf("64 KiB header block answered %d, want 431", got)
+	}
+	if reached.Load() != 0 {
+		t.Error("an oversized header block reached the handler")
+	}
+	if got := get("small"); got != http.StatusOK || reached.Load() != 1 {
+		t.Errorf("ordinary request answered %d (handler reached %d times)", got, reached.Load())
+	}
+	close(done)
+	if err := <-served; err != nil {
+		t.Fatalf("serveGracefully: %v", err)
 	}
 }

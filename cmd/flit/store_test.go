@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // TestStoreFlagCrossProcess: the CLI acceptance pin for the persistent
@@ -68,7 +71,7 @@ func TestStoreFlagRejectsForeignEngine(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "store.json")
 	if err := os.WriteFile(manifest,
-		[]byte(`{"store_version":1,"engine":"flit-engine/0"}`), 0o644); err != nil {
+		[]byte(fmt.Sprintf(`{"store_version":%d,"engine":"flit-engine/0"}`, store.FormatVersion)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -66,6 +67,19 @@ func TestOpenRejectsUnusableDirectories(t *testing.T) {
 		_, err := Open(dir, testEngine)
 		if err == nil || !strings.Contains(err.Error(), "layout v99") {
 			t.Fatalf("foreign layout version not rejected: %v", err)
+		}
+	})
+	t.Run("format v1", func(t *testing.T) {
+		// A store of per-key JSON envelopes, written before the binary
+		// envelope: its objects would all read as corrupt, so it is refused.
+		dir := t.TempDir()
+		m := `{"store_version":1,"engine":"` + testEngine + `"}`
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, testEngine)
+		if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "v2") {
+			t.Fatalf("v1 store not refused naming both versions: %v", err)
 		}
 	})
 }
@@ -161,24 +175,29 @@ func TestNewMemDefaultCap(t *testing.T) {
 
 // --- remote.go ---
 
+// TestDecodeEnvelopeWrongKey: a server replaying a valid envelope for
+// another key reads as a miss, however well the envelope verifies.
 func TestDecodeEnvelopeWrongKey(t *testing.T) {
-	d, err := Open(t.TempDir(), testEngine)
+	replayed := encodeEnvelope(testEngine, "key-a", []byte(`{"v":1}`))
+	if e, err := decodeEnvelope(replayed, testEngine); err != nil || string(e.Key) != "key-a" {
+		t.Fatalf("envelope does not decode under its own key: %q, %v", e.Key, err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(replayed)
+	}))
+	defer srv.Close()
+	r, err := NewRemote(srv.URL, testEngine, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put("key-a", []byte(`{"v":1}`)); err != nil {
-		t.Fatal(err)
+	if data, ok := r.Get("key-b"); ok {
+		t.Fatalf("a replayed envelope for another key was accepted: %q", data)
 	}
-	raw, err := os.ReadFile(d.path("key-a"))
-	if err != nil {
-		t.Fatal(err)
+	if data, ok := r.Get("key-a"); !ok || string(data) != `{"v":1}` {
+		t.Fatalf("the envelope's own key = %q, %v", data, ok)
 	}
-	if _, derr := decodeEnvelope(raw, testEngine, "key-a"); derr != nil {
-		t.Fatalf("envelope does not decode under its own key: %v", derr)
-	}
-	_, derr := decodeEnvelope(raw, testEngine, "key-b")
-	if derr == nil || !strings.Contains(derr.Error(), "different key") {
-		t.Fatalf("a replayed envelope for another key was accepted: %v", derr)
+	if m := r.Metrics(); m.Errors != 1 {
+		t.Fatalf("replay not counted as a degraded miss: %+v", m)
 	}
 }
 
@@ -331,7 +350,7 @@ func TestServePutBodyAndStoreFailures(t *testing.T) {
 	h := Handler(d)
 
 	// A body that cannot be read to completion.
-	req := httptest.NewRequest(http.MethodPut, remoteKeyPath("k"), brokenReader{})
+	req := httptest.NewRequest(http.MethodPut, objectURLPath("k"), brokenReader{})
 	req.Header.Set(engineHeader, testEngine)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -339,12 +358,11 @@ func TestServePutBodyAndStoreFailures(t *testing.T) {
 		t.Errorf("torn upload answered %d, want %d", rec.Code, http.StatusRequestEntityTooLarge)
 	}
 
-	// A payload whose checksum matches but which the Disk backend cannot
-	// envelope (not JSON): the server must answer 500, not store garbage.
-	bad := []byte("{not json")
-	req = httptest.NewRequest(http.MethodPut, remoteKeyPath("k"), strings.NewReader(string(bad)))
+	// A valid envelope whose payload the Disk backend refuses to store
+	// (not JSON): the server must answer 500, not store garbage.
+	bad := encodeEnvelope(testEngine, "k", []byte("{not json"))
+	req = httptest.NewRequest(http.MethodPut, objectURLPath("k"), bytes.NewReader(bad))
 	req.Header.Set(engineHeader, testEngine)
-	req.Header.Set(sumHeader, sumHex(bad))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {

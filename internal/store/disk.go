@@ -1,9 +1,8 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -16,8 +15,9 @@ import (
 // FormatVersion is the on-disk layout version of a Disk store. Bump it
 // whenever the manifest, the object envelope, or the directory layout
 // changes shape; a store written by any other format version is rejected
-// at Open, like a foreign engine's.
-const FormatVersion = 1
+// at Open, like a foreign engine's. Version 2 replaced the per-object JSON
+// envelope with the binary one in envelope.go.
+const FormatVersion = 2
 
 // manifestName is the store manifest at the root of a Disk store's
 // directory: the fence that keeps two engines whose results are not
@@ -38,23 +38,10 @@ type manifest struct {
 	Engine  string `json:"engine"`
 }
 
-// entry is the JSON envelope of one stored object. The envelope repeats
-// the key (the file is addressed by the key's hash, and a hash tells a
-// reader nothing about what was hashed), the engine (cheap insurance when
-// entry files are copied between store directories by hand), and a
-// SHA-256 of the payload (a torn or bit-rotted payload must read as a
-// miss, not as a result). Payload bytes are the caller's own JSON record.
-type entry struct {
-	Engine string          `json:"engine"`
-	Key    string          `json:"key"`
-	Sum    string          `json:"sum"`
-	Data   json.RawMessage `json:"data"`
-}
-
 // Disk is the on-disk content-addressed Store backend:
 //
 //	DIR/store.json            manifest: layout version + engine fence
-//	DIR/objects/ab/<sha256>   one JSON envelope per key, ab = sum[:2]
+//	DIR/objects/ab/<sha256>   one envelope per key, ab = sum[:2]
 //
 // Writes are atomic (temp file + fsync + rename), so concurrent Puts —
 // from many goroutines or many processes sharing DIR — race only on which
@@ -117,57 +104,74 @@ func (d *Disk) Dir() string { return d.dir }
 // Engine returns the engine version the store is fenced to.
 func (d *Disk) Engine() string { return d.engine }
 
-// path maps a key to its content-addressed file.
-func (d *Disk) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(d.dir, objectsDir, h[:2], h)
+// objectPath maps a content address to its file.
+func (d *Disk) objectPath(hash string) string {
+	return filepath.Join(d.dir, objectsDir, hash[:2], hash)
 }
 
+// path maps a key to its content-addressed file.
+func (d *Disk) path(key string) string { return d.objectPath(keyHash([]byte(key))) }
+
 // Get reads the entry stored under key. Every failure mode — no file, a
-// file that does not parse as one complete JSON envelope, an engine or
-// key mismatch, a payload checksum mismatch — is a miss; the ones that
+// file that does not decode as one complete envelope of this engine, a
+// payload checksum mismatch, a key mismatch — is a miss; the ones that
 // found a file are additionally counted as corrupt.
 func (d *Disk) Get(key string) ([]byte, bool) {
 	raw, err := os.ReadFile(d.path(key))
 	if err != nil {
 		return nil, false
 	}
-	var e entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		d.corrupt.Add(1)
-		return nil, false
-	}
-	if e.Engine != d.engine || e.Key != key || e.Sum != sumHex(e.Data) {
+	e, err := decodeEnvelope(raw, d.engine)
+	if err != nil || string(e.Key) != key {
 		d.corrupt.Add(1)
 		return nil, false
 	}
 	return e.Data, true
 }
 
+// object returns the file at a content address when it verifies as this
+// store's envelope for a key with that address — the bytes the server
+// answers a GET with, verbatim.
+func (d *Disk) object(hash string) ([]byte, bool) {
+	raw, err := os.ReadFile(d.objectPath(hash))
+	if err != nil {
+		return nil, false
+	}
+	if e, err := decodeEnvelope(raw, d.engine); err != nil || keyHash(e.Key) != hash {
+		d.corrupt.Add(1)
+		return nil, false
+	}
+	return raw, true
+}
+
 // Put atomically stores data under key. The entry file appears complete
 // or not at all; a crash mid-Put leaves the previous state readable.
 func (d *Disk) Put(key string, data []byte) error {
-	e := entry{Engine: d.engine, Key: key, Sum: sumHex(data), Data: json.RawMessage(data)}
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("store: encoding entry: %w", err)
+	return d.writeObject(keyHash([]byte(key)), encodeEnvelope(d.engine, key, data), data)
+}
+
+// errNotJSON refuses a payload on write. Payloads are the callers' JSON
+// records; anything else is a caller bug, and storing it would only
+// replay the bug as a hit.
+var errNotJSON = errors.New("store: payload is not JSON")
+
+// writeObject atomically writes raw, an envelope carrying payload, at a
+// content address. The caller vouches that raw decodes for this engine
+// and that its key hashes to hash.
+func (d *Disk) writeObject(hash string, raw, payload []byte) error {
+	if !json.Valid(payload) {
+		return errNotJSON
 	}
-	path := d.path(key)
+	path := d.objectPath(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return WriteFileAtomic(path, buf)
+	return WriteFileAtomic(path, raw)
 }
 
 // CorruptReads reports how many Get calls found an entry file they could
 // not trust since this handle was opened.
 func (d *Disk) CorruptReads() int64 { return d.corrupt.Load() }
-
-func sumHex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 // Stats is a walk of the store's object tree: what `flit store stats`
 // prints. Corrupt counts files that do not parse and verify as this
@@ -288,12 +292,9 @@ func (d *Disk) scan() ([]objFile, error) {
 			return err
 		}
 		f := objFile{path: path, size: info.Size(), mod: info.ModTime()}
-		var e entry
 		if raw, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(raw, &e); err == nil &&
-				e.Engine == d.engine && e.Sum == sumHex(e.Data) && d.path(e.Key) == path {
-				f.ok = true
-			}
+			e, err := decodeEnvelope(raw, d.engine)
+			f.ok = err == nil && d.objectPath(keyHash(e.Key)) == path
 		}
 		out = append(out, f)
 		return nil

@@ -3,9 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,24 +15,31 @@ import (
 
 // Wire protocol of the remote store (served by Handler, spoken by Remote):
 //
-//	GET  /v1/objects/<base64url(key)>   → 200 + JSON envelope, 404 miss,
+//	GET  /v2/objects/<sha256hex(key)>   → 200 + envelope, 404 miss,
 //	                                      412 engine fence
-//	PUT  /v1/objects/<base64url(key)>   → 201 stored, 204 already present,
+//	PUT  /v2/objects/<sha256hex(key)>   → 201 stored, 204 already present,
 //	                                      412 engine fence, 400 damaged
 //
-// Keys are the engine's injective plan keys and contain NUL separators, so
-// they travel base64url-encoded in the path. Every request carries the
+// Objects are addressed by the same content address that names their
+// file in a Disk store: the lowercase hex SHA-256 of the key. Both bodies
+// are the binary envelope of envelope.go — the Disk store's object file,
+// byte for byte — so the server answers a GET by writing the stored file
+// verbatim and stores a PUT body unchanged. Every request carries the
 // client's engine version in the X-Flit-Engine header and every response
-// echoes the server's — the same fence the Disk manifest enforces, applied
-// per request because the two processes share no filesystem. A GET body is
-// the same JSON envelope the Disk backend stores (engine + key + payload
-// SHA-256 + payload), and the client re-validates all three fields against
-// what it asked for: a lying, truncating, or bit-flipping server reads as
-// a miss, never as a result.
+// echoes the server's — the same fence the Disk manifest enforces,
+// applied per request because the two processes share no filesystem.
+//
+// Neither side trusts the other. The client decodes every GET body with
+// the shared validating decoder and requires the engine it asked for, the
+// exact key it asked for, and a payload matching its SHA-256: a lying,
+// truncating, or bit-flipping server reads as a miss, never as a result.
+// The server applies the same decoder to every PUT body, requires the
+// envelope's key to hash to the path, and re-checks the file it is about
+// to serve the same way. A client built before v2 asks for /v1/objects/
+// paths and sees only 404 misses.
 const (
-	remotePathPrefix = "/v1/objects/"
+	objectPathPrefix = "/v2/objects/"
 	engineHeader     = "X-Flit-Engine"
-	sumHeader        = "X-Flit-Sum"
 )
 
 // StatusEngineMismatch is the distinct status the serving side answers
@@ -44,55 +48,14 @@ const (
 // request so a mixed fleet fails loudly instead of trading results.
 const StatusEngineMismatch = http.StatusPreconditionFailed
 
-// DefaultMaxBody bounds how many payload bytes one remote envelope may
-// carry in either direction. Run records are small; a response this large
-// is a misbehaving server and reads as a miss.
+// DefaultMaxBody bounds how many bytes one remote envelope may carry in
+// either direction. Run records are small; a response this large is a
+// misbehaving server and reads as a miss.
 const DefaultMaxBody = 64 << 20
 
-// remoteKeyPath maps a store key to its URL path.
-func remoteKeyPath(key string) string {
-	return remotePathPrefix + base64.RawURLEncoding.EncodeToString([]byte(key))
-}
-
-// remoteKeyFromPath inverts remoteKeyPath; ok is false for anything that
-// is not one well-formed object path.
-func remoteKeyFromPath(path string) (string, bool) {
-	enc, found := strings.CutPrefix(path, remotePathPrefix)
-	if !found || enc == "" || strings.Contains(enc, "/") {
-		return "", false
-	}
-	raw, err := base64.RawURLEncoding.DecodeString(enc)
-	if err != nil {
-		return "", false
-	}
-	return string(raw), true
-}
-
-// decodeEnvelope validates raw as exactly one complete JSON envelope for
-// (engine, key) and returns its payload. Every failure mode — truncation,
-// trailing garbage, an engine or key that is not the one requested, a
-// payload whose SHA-256 disagrees with the declared sum — is an error the
-// caller turns into a miss; this is the trust boundary FuzzRemoteDecode
-// hammers.
-func decodeEnvelope(raw []byte, engine, key string) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	var e entry
-	if err := dec.Decode(&e); err != nil {
-		return nil, fmt.Errorf("store: remote envelope: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return nil, errors.New("store: remote envelope: trailing data after envelope")
-	}
-	if e.Engine != engine {
-		return nil, fmt.Errorf("store: remote envelope from engine %q, want %q", e.Engine, engine)
-	}
-	if e.Key != key {
-		return nil, errors.New("store: remote envelope answers a different key")
-	}
-	if e.Sum != sumHex(e.Data) {
-		return nil, errors.New("store: remote envelope payload checksum mismatch")
-	}
-	return e.Data, nil
+// objectURLPath maps a store key to its URL path.
+func objectURLPath(key string) string {
+	return objectPathPrefix + keyHash([]byte(key))
 }
 
 // RemoteOptions tunes a Remote's transport behavior. The zero value of
@@ -118,7 +81,7 @@ type RemoteOptions struct {
 	// Deadline bounds one whole operation across all its retries and
 	// backoffs (default 30s). An exhausted deadline degrades to a miss.
 	Deadline time.Duration
-	// MaxBody bounds the accepted response payload (default DefaultMaxBody).
+	// MaxBody bounds the accepted response body (default DefaultMaxBody).
 	MaxBody int64
 }
 
@@ -327,21 +290,27 @@ func (r *Remote) send(ctx context.Context, method, key string, body []byte) Atte
 	if body != nil {
 		reader = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, r.base+remoteKeyPath(key), reader)
+	req, err := http.NewRequestWithContext(ctx, method, r.base+objectURLPath(key), reader)
 	if err != nil {
 		return Attempt{Err: err}
 	}
 	req.Header.Set(engineHeader, r.engine)
 	if body != nil {
-		req.Header.Set(sumHeader, sumHex(body))
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", envelopeContentType)
 	}
 	resp, err := r.opts.Client.Do(req)
 	if err != nil {
 		return Attempt{Err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, r.opts.MaxBody+1))
+	// A declared length within the bound sizes the buffer once (plus the
+	// room ReadFrom wants to see EOF); the bound itself is the limit below.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= r.opts.MaxBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, r.opts.MaxBody+1))
+	data := buf.Bytes()
 	if err != nil {
 		// A stalled or reset body after good headers is still a transport
 		// failure of this attempt.
@@ -388,22 +357,23 @@ func (r *Remote) GetCtx(ctx context.Context, key string) ([]byte, bool) {
 		r.errors.Add(1)
 		return nil, false
 	}
-	data, err := decodeEnvelope(res.Body, r.engine, key)
-	if err != nil {
+	e, err := decodeEnvelope(res.Body, r.engine)
+	if err != nil || string(e.Key) != key {
 		r.misses.Add(1)
 		r.errors.Add(1)
 		return nil, false
 	}
 	r.hits.Add(1)
-	return data, true
+	return e.Data, true
 }
 
-// Put uploads the payload under key. The server stores it only when the
-// declared SHA-256 matches what arrived, and no-ops when it already holds
-// a valid entry for the key. A failed Put returns an error but must not
-// fail the caller's run — the computed value is already correct in
-// memory; the cache layer counts the error and moves on. Put satisfies
-// the Store interface; PutCtx is the cancellable form.
+// Put uploads the payload under key as an envelope. The server stores it
+// only when the envelope decodes, its SHA-256 matches, and its key hashes
+// to the path; it no-ops when it already holds a valid entry for the key.
+// A failed Put returns an error but must not fail the caller's run — the
+// computed value is already correct in memory; the cache layer counts the
+// error and moves on. Put satisfies the Store interface; PutCtx is the
+// cancellable form.
 func (r *Remote) Put(key string, data []byte) error {
 	return r.PutCtx(context.Background(), key, data)
 }
@@ -411,8 +381,9 @@ func (r *Remote) Put(key string, data []byte) error {
 // PutCtx is Put under a caller context: cancelling ctx aborts the retry
 // loop immediately (the upload is abandoned, counted as an error).
 func (r *Remote) PutCtx(ctx context.Context, key string, data []byte) error {
+	body := encodeEnvelope(r.engine, key, data)
 	res, exhausted := r.do(ctx, func(ctx context.Context) Attempt {
-		return r.send(ctx, http.MethodPut, key, data)
+		return r.send(ctx, http.MethodPut, key, body)
 	})
 	switch {
 	case exhausted:

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -142,7 +145,7 @@ func TestRemoteEngineFence(t *testing.T) {
 	}
 
 	// The wire status is the distinct one, so clients can tell fence from miss.
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+remoteKeyPath("k"), nil)
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+objectURLPath("k"), nil)
 	req.Header.Set(engineHeader, "flit-engine/other")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -318,25 +321,18 @@ func TestRemoteConcurrent(t *testing.T) {
 }
 
 // TestHandlerRejectsDamage: the serving side's own trust boundary —
-// malformed paths, wrong methods, and uploads whose checksum disagrees
-// with their body must be rejected and never stored.
+// malformed paths, wrong methods, and uploads that do not prove
+// themselves (a checksum that disagrees with the payload, a body that is
+// not an envelope, a key that hashes to another path, an envelope engine
+// that is not the header's) must be rejected and never stored.
 func TestHandlerRejectsDamage(t *testing.T) {
 	disk, _, srv := newServed(t)
-	do := func(method, path string, body string, hdr map[string]string) int {
-		var rd *strings.Reader
-		if body == "" {
-			rd = strings.NewReader("")
-		} else {
-			rd = strings.NewReader(body)
-		}
-		req, err := http.NewRequest(method, srv.URL+path, rd)
+	do := func(method, path string, body []byte) int {
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set(engineHeader, testEngine)
-		for k, v := range hdr {
-			req.Header.Set(k, v)
-		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -345,26 +341,138 @@ func TestHandlerRejectsDamage(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	if got := do(http.MethodGet, remotePathPrefix+"not-base64!!!", "", nil); got != http.StatusBadRequest {
-		t.Errorf("malformed key path: %d; want 400", got)
+	upper := strings.ToUpper(keyHash([]byte("k")))
+	for _, path := range []string{
+		objectPathPrefix + "not-hex!!!",
+		objectPathPrefix,
+		objectPathPrefix + keyHash([]byte("k"))[:63],
+		objectPathPrefix + keyHash([]byte("k")) + "0",
+		objectPathPrefix + upper,
+		objectPathPrefix + keyHash([]byte("k")) + "/x",
+	} {
+		if got := do(http.MethodGet, path, nil); got != http.StatusBadRequest {
+			t.Errorf("GET %s: %d; want 400", path, got)
+		}
 	}
-	if got := do(http.MethodGet, remotePathPrefix, "", nil); got != http.StatusBadRequest {
-		t.Errorf("empty key path: %d; want 400", got)
+	if got := do(http.MethodGet, "/v1/objects/"+keyHash([]byte("k")), nil); got != http.StatusNotFound {
+		t.Errorf("pre-v2 object path: %d; want 404", got)
 	}
-	if got := do(http.MethodDelete, remoteKeyPath("k"), "", nil); got != http.StatusMethodNotAllowed {
+	if got := do(http.MethodDelete, objectURLPath("k"), nil); got != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE: %d; want 405", got)
 	}
-	// A PUT whose declared checksum does not match the body (a torn upload).
-	if got := do(http.MethodPut, remoteKeyPath("k"), `{"v":1}`,
-		map[string]string{sumHeader: sumHex([]byte("something else"))}); got != http.StatusBadRequest {
-		t.Errorf("checksum-mismatched PUT: %d; want 400", got)
+
+	valid := encodeEnvelope(testEngine, "k", []byte(`{"v":1}`))
+	torn := bytes.Clone(valid)
+	torn[len(torn)-1] ^= 1
+	for name, tc := range map[string]struct {
+		path string
+		body []byte
+	}{
+		"checksum-mismatched":  {objectURLPath("k"), torn},
+		"not an envelope":      {objectURLPath("k"), []byte(`{"v":1}`)},
+		"key hashes elsewhere": {objectURLPath("k"), encodeEnvelope(testEngine, "other", []byte(`{"v":1}`))},
+		"envelope engine differs from header": {objectURLPath("k"),
+			encodeEnvelope("flit-engine/other", "k", []byte(`{"v":1}`))},
+	} {
+		if got := do(http.MethodPut, tc.path, tc.body); got != http.StatusBadRequest {
+			t.Errorf("%s PUT: %d; want 400", name, got)
+		}
 	}
 	if _, ok := disk.Get("k"); ok {
 		t.Fatal("a damaged upload was stored")
 	}
-	// And one without any checksum at all.
-	if got := do(http.MethodPut, remoteKeyPath("k"), `{"v":1}`, nil); got != http.StatusBadRequest {
-		t.Errorf("sum-less PUT: %d; want 400", got)
+	if _, ok := disk.Get("other"); ok {
+		t.Fatal("a misaddressed upload was stored under its own key")
+	}
+	if st, err := disk.Stats(); err != nil || st.Entries+st.Corrupt != 0 {
+		t.Fatalf("rejected uploads left files behind: %+v, %v", st, err)
+	}
+	if got := do(http.MethodPut, objectURLPath("k"), valid); got != http.StatusCreated {
+		t.Errorf("valid PUT: %d; want 201", got)
+	}
+}
+
+// TestHandlerServesStoredBytesVerbatim: a GET body is the object file
+// itself, not a re-encoding of it.
+func TestHandlerServesStoredBytesVerbatim(t *testing.T) {
+	disk, _, srv := newServed(t)
+	if err := disk.Put("k", []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(disk.path("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+objectURLPath("k"), nil)
+	req.Header.Set(engineHeader, testEngine)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, file) {
+		t.Fatalf("GET = %d, %d bytes; want 200 and the %d-byte object file", resp.StatusCode, len(body), len(file))
+	}
+}
+
+// TestCorruptFaultIsAnExactLie: the harness's Corrupt fault must produce
+// the hardest lie to catch — an envelope that still parses, with every
+// length, the engine and the key intact, whose payload fails only the
+// checksum.
+func TestCorruptFaultIsAnExactLie(t *testing.T) {
+	disk, flaky, srv := newServed(t)
+	if err := disk.Put("k", []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	flaky.Push(storetest.Corrupt)
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+objectURLPath("k"), nil)
+	req.Header.Set(engineHeader, testEngine)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := decodeEnvelope(body, testEngine)
+	if !errors.Is(err, errEnvelopeSum) {
+		t.Fatalf("corrupted body decodes with %v; want only the checksum mismatch", err)
+	}
+	if string(e.Key) != "k" || len(e.Data) != len(`{"v":1}`) {
+		t.Fatalf("corrupted body lost its structure: key %q, %d payload bytes", e.Key, len(e.Data))
+	}
+}
+
+// BenchmarkRemoteGet pins the warm remote read path: one loopback GET of a
+// run-record-sized entry, validated on both sides.
+func BenchmarkRemoteGet(b *testing.B) {
+	d, err := Open(b.TempDir(), testEngine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	r, err := NewRemote(srv.URL, testEngine, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Median-sized plan key and run record of the study's sweep.
+	key := "run\x00" + strings.Repeat("k", 1216)
+	payload := []byte(`{"pad":"` + strings.Repeat("p", 2700) + `"}`)
+	if err := r.Put(key, payload); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := r.Get(key); !ok {
+			b.Fatal("warm Get missed")
+		}
 	}
 }
 

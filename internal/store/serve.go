@@ -1,10 +1,11 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 )
 
 // Handler returns the HTTP serving side of a Disk store: the other end of
@@ -15,21 +16,24 @@ import (
 // corrupt on-disk entry serves a 404, not a lie), and the engine fence
 // the Disk manifest enforces at Open is re-checked per request against
 // the client's X-Flit-Engine header, answered with StatusEngineMismatch
-// so a foreign client can tell a fence from a miss.
+// so a foreign client can tell a fence from a miss. Paths outside
+// /v2/objects/ are 404s.
 func Handler(d *Disk) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(remotePathPrefix, func(w http.ResponseWriter, req *http.Request) {
-		serveObject(d, w, req)
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		hash, found := strings.CutPrefix(req.URL.Path, objectPathPrefix)
+		if !found {
+			http.NotFound(w, req)
+			return
+		}
+		serveObject(d, hash, w, req)
 	})
-	return mux
 }
 
-// serveObject handles one GET or PUT of /v1/objects/<base64url(key)>.
-func serveObject(d *Disk, w http.ResponseWriter, req *http.Request) {
+// serveObject handles one GET or PUT of /v2/objects/<hash>.
+func serveObject(d *Disk, hash string, w http.ResponseWriter, req *http.Request) {
 	w.Header().Set(engineHeader, d.Engine())
-	key, ok := remoteKeyFromPath(req.URL.Path)
-	if !ok {
-		http.Error(w, "store: malformed object path", http.StatusBadRequest)
+	if !validHash(hash) {
+		http.Error(w, "store: object path is not a lowercase hex SHA-256", http.StatusBadRequest)
 		return
 	}
 	if got := req.Header.Get(engineHeader); got != d.Engine() {
@@ -39,40 +43,40 @@ func serveObject(d *Disk, w http.ResponseWriter, req *http.Request) {
 	}
 	switch req.Method {
 	case http.MethodGet:
-		data, ok := d.Get(key)
+		raw, ok := d.object(hash)
 		if !ok {
 			http.Error(w, "store: no such entry", http.StatusNotFound)
 			return
 		}
-		buf, err := json.Marshal(entry{Engine: d.Engine(), Key: key, Sum: sumHex(data), Data: json.RawMessage(data)})
-		if err != nil {
-			http.Error(w, "store: encoding envelope: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(sumHeader, sumHex(data))
-		w.Write(buf)
+		w.Header().Set("Content-Type", envelopeContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+		w.Write(raw)
 	case http.MethodPut:
 		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, DefaultMaxBody))
 		if err != nil {
-			http.Error(w, "store: reading payload: "+err.Error(), http.StatusRequestEntityTooLarge)
+			http.Error(w, "store: reading envelope: "+err.Error(), http.StatusRequestEntityTooLarge)
 			return
 		}
-		// The declared checksum must match what actually arrived: a torn or
-		// bit-flipped upload is rejected, never stored. (The same check the
-		// client applies to downloads, pointed the other way.)
-		if sum := req.Header.Get(sumHeader); sum != sumHex(body) {
-			http.Error(w, "store: payload checksum mismatch", http.StatusBadRequest)
+		// The upload must prove itself the way a download must: a torn,
+		// bit-flipped, foreign-engine or misaddressed envelope is rejected,
+		// never stored.
+		e, err := decodeEnvelope(body, d.Engine())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if keyHash(e.Key) != hash {
+			http.Error(w, "store: envelope key does not hash to the object path", http.StatusBadRequest)
 			return
 		}
 		// Conditional PUT: a key the store already holds a valid entry for
 		// is a no-op — entries are pure functions of their key, so the
 		// bytes on disk are already the bytes being offered.
-		if _, ok := d.Get(key); ok {
+		if _, ok := d.object(hash); ok {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		if err := d.Put(key, body); err != nil {
+		if err := d.writeObject(hash, body, e.Data); err != nil {
 			http.Error(w, "store: persisting entry: "+err.Error(), http.StatusInternalServerError)
 			return
 		}

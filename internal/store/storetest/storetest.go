@@ -14,7 +14,6 @@
 package storetest
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -36,8 +35,8 @@ const (
 	Stall
 	// Truncate writes the real response cut off mid-body.
 	Truncate
-	// Corrupt serves the real response with payload bytes flipped, so the
-	// envelope's checksum no longer matches.
+	// Corrupt serves the real response with a payload byte flipped, so the
+	// envelope still parses but its checksum no longer matches.
 	Corrupt
 	// WrongEngine rewrites the request's engine fence header to a foreign
 	// engine version before the inner handler sees it, forcing the
@@ -148,10 +147,10 @@ func (f *Flaky) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // mangle records the inner handler's real response, then serves a damaged
-// version of it: the headers (status, engine fence, declared checksum)
-// are always the honest ones, so the damage is exactly what a flaky
-// network or a bit-rotting server would produce — a body that no longer
-// matches its own declaration.
+// version of it: the headers (status, engine fence) are always the honest
+// ones, so the damage is exactly what a flaky network or a bit-rotting
+// server would produce — a body that no longer matches its own
+// declaration.
 func (f *Flaky) mangle(fault Fault, w http.ResponseWriter, req *http.Request) {
 	rec := httptest.NewRecorder()
 	f.inner.ServeHTTP(rec, req)
@@ -186,27 +185,15 @@ func (f *Flaky) mangle(fault Fault, w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// corruptPayload damages a response body the way bit rot does: when the
-// body parses as a store envelope, the payload is replaced under the
-// original declared checksum — a structurally valid envelope that fails
-// SHA-256 re-validation, the exact lie the client must catch. Anything
-// else gets its tail bytes flipped.
+// corruptPayload damages a response body the way bit rot does: it flips
+// the body's last byte. A store envelope ends with its payload, so the
+// result is a structurally valid envelope — magic, every length prefix,
+// engine, key and declared SHA-256 intact — whose payload disagrees with
+// its sum: the exact lie the client must catch.
 func corruptPayload(body []byte) []byte {
-	var e struct {
-		Engine string          `json:"engine"`
-		Key    string          `json:"key"`
-		Sum    string          `json:"sum"`
-		Data   json.RawMessage `json:"data"`
-	}
-	if err := json.Unmarshal(body, &e); err == nil && e.Sum != "" {
-		e.Data = json.RawMessage(`{"storetest":"bit-rot"}`)
-		if damaged, err := json.Marshal(e); err == nil {
-			return damaged
-		}
-	}
 	damaged := append([]byte(nil), body...)
-	for i := len(damaged) / 2; i < len(damaged); i++ {
-		damaged[i] ^= 0x5a
+	if n := len(damaged); n > 0 {
+		damaged[n-1] ^= 0x5a
 	}
 	return damaged
 }

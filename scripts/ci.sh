@@ -8,6 +8,9 @@
 #                    at every -j, and per-package statement coverage is
 #                    appended to BENCH_shard.json so the test-quality
 #                    trajectory is tracked alongside the perf one)
+#   fuzz smoke       ten seconds of coverage-guided fuzzing of the store
+#                    envelope decoder (FuzzRemoteDecode), the trust
+#                    boundary every disk read and remote body crosses
 #   perfbench test   the benchmark module's own tests (catalogue, wrapper,
 #                    schedules) with -short, skipping the traced census;
 #                    perfbench/ is a separate module that ./... misses
@@ -98,6 +101,8 @@ cat "$SHARD_TMP/cover.txt"
 	}' "$SHARD_TMP/cover.txt"
 	printf '}}\n'
 } >>"$PWD/BENCH_shard.json"
+
+go test -run NONE -fuzz '^FuzzRemoteDecode$' -fuzztime 10s ./internal/store
 
 (cd perfbench && go test -short ./...)
 
