@@ -150,17 +150,14 @@ func (d *Disk) Put(key string, data []byte) error {
 	return d.writeObject(keyHash([]byte(key)), encodeEnvelope(d.engine, key, data), data)
 }
 
-// errNotJSON refuses a payload on write. Payloads are the callers' JSON
-// records; anything else is a caller bug, and storing it would only
-// replay the bug as a hit.
-var errNotJSON = errors.New("store: payload is not JSON")
-
 // writeObject atomically writes raw, an envelope carrying payload, at a
 // content address. The caller vouches that raw decodes for this engine
-// and that its key hashes to hash.
+// and that its key hashes to hash. Payloads are the callers' JSON
+// records; anything else is a caller bug, refused here so it is never
+// replayed as a hit.
 func (d *Disk) writeObject(hash string, raw, payload []byte) error {
 	if !json.Valid(payload) {
-		return errNotJSON
+		return errors.New("store: payload is not JSON")
 	}
 	path := d.objectPath(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

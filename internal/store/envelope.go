@@ -32,10 +32,9 @@ const envelopeContentType = "application/octet-stream"
 
 // envelope is a decoded object. Key and Data alias the decoded buffer.
 type envelope struct {
-	Engine string
-	Key    []byte
-	Sum    [sha256.Size]byte
-	Data   []byte
+	Key  []byte
+	Sum  [sha256.Size]byte
+	Data []byte
 }
 
 // Decoding failures the callers and tests tell apart; every one of them
@@ -94,7 +93,6 @@ func decodeEnvelope(raw []byte, engine string) (envelope, error) {
 	if string(eng) != engine {
 		return e, fmt.Errorf("store: envelope from engine %q, want %q", eng, engine)
 	}
-	e.Engine = engine
 	if sha256.Sum256(e.Data) != e.Sum {
 		return e, errEnvelopeSum
 	}
