@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +27,27 @@ import (
 // on, not as a silent miss. Every method takes a context: the retry
 // loop's deadline is clipped to it, so a draining worker's cancellation
 // interrupts an in-flight backoff instead of riding it out.
+//
+// The client keeps the last listing it received with its content tag and
+// offers the tag on the next Campaigns call; a 304 answers it from the
+// kept listing without anything encoded, sent, or decoded.
 type Client struct {
 	base    string
 	engine  string
 	opts    store.RemoteOptions
 	retries atomic.Int64
+
+	listMu  sync.Mutex
+	listTag string         // ETag of list; "" offers nothing
+	list    []CampaignInfo // never handed out: callers get copies
+}
+
+// conditional carries a conditional GET through do: the tag offered as
+// If-None-Match, and the answer's ETag and whether it was 304.
+type conditional struct {
+	tag         string
+	etag        string
+	notModified bool
 }
 
 // NewClient returns a coordinator client for the service at baseURL,
@@ -66,11 +84,22 @@ func (cl *Client) Retries() int64 { return cl.retries.Load() }
 // bit rot), which is a transport failure of that attempt and retried,
 // exactly as the store client treats a damaged envelope. The damaged
 // attempt keeps its status and body so an exhausted budget reports what
-// the server actually said, not "status 0".
-func (cl *Client) do(ctx context.Context, method, op string, body []byte, out any) error {
+// the server actually said, not "status 0". cond, when non-nil, makes the
+// request conditional: a 304 is a success only if cond offered a tag —
+// one answering a request that offered none is damaged the same way, and
+// never passes for an empty answer — and a 200 must hash to its ETag,
+// since a damaged body kept under an honest tag would be served from the
+// client's copy until the listing next changed.
+func (cl *Client) do(ctx context.Context, method, op string, body []byte, cond *conditional, out any) error {
 	res, exhausted := cl.opts.Retry(ctx, func(ctx context.Context) store.Attempt {
-		a := cl.send(ctx, method, op, body)
-		if a.Err == nil && a.Status == http.StatusOK && out != nil {
+		a := cl.send(ctx, method, op, body, cond)
+		switch {
+		case a.Err != nil:
+		case a.Status == http.StatusNotModified && (cond == nil || cond.tag == ""):
+			a.Err = errors.New("malformed response: 304 to a request that offered no tag")
+		case a.Status == http.StatusOK && cond != nil && cond.etag != "" && cond.etag != contentTag(a.Body):
+			a.Err = errors.New("malformed response: body does not hash to its ETag")
+		case a.Status == http.StatusOK && out != nil:
 			if err := json.Unmarshal(a.Body, out); err != nil {
 				a.Err = fmt.Errorf("malformed response: %w", err)
 			}
@@ -95,11 +124,12 @@ func (cl *Client) call(ctx context.Context, campaign, op string, req leaseReques
 	if err != nil {
 		return fmt.Errorf("coord: encoding %s request: %w", op, err)
 	}
-	return cl.do(ctx, http.MethodPost, campaign+"/"+op, body, out)
+	return cl.do(ctx, http.MethodPost, campaign+"/"+op, body, nil, out)
 }
 
-// send issues one request and reads a size-capped body.
-func (cl *Client) send(ctx context.Context, method, op string, body []byte) store.Attempt {
+// send issues one request and reads a size-capped body. With cond it
+// offers cond's tag and records the answer's ETag and 304-ness in cond.
+func (cl *Client) send(ctx context.Context, method, op string, body []byte, cond *conditional) store.Attempt {
 	var reader io.Reader
 	if body != nil {
 		reader = bytes.NewReader(body)
@@ -112,11 +142,18 @@ func (cl *Client) send(ctx context.Context, method, op string, body []byte) stor
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if cond != nil && cond.tag != "" {
+		req.Header.Set("If-None-Match", cond.tag)
+	}
 	resp, err := cl.opts.Client.Do(req)
 	if err != nil {
 		return store.Attempt{Err: err}
 	}
 	defer resp.Body.Close()
+	if cond != nil {
+		cond.etag = resp.Header.Get("ETag")
+		cond.notModified = resp.StatusCode == http.StatusNotModified
+	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody+1))
 	if err != nil {
 		return store.Attempt{Err: err}
@@ -127,7 +164,7 @@ func (cl *Client) send(ctx context.Context, method, op string, body []byte) stor
 // classify turns a terminal non-2xx attempt into the caller-facing error.
 func classify(op string, res store.Attempt) error {
 	switch res.Status {
-	case http.StatusOK:
+	case http.StatusOK, http.StatusNotModified:
 		return nil
 	case StatusLeaseLost:
 		return ErrLeaseLost
@@ -140,13 +177,48 @@ func classify(op string, res store.Attempt) error {
 	}
 }
 
-// Campaigns lists the coordinator's tenancy in submission order.
+// Campaigns lists the coordinator's tenancy in submission order. The
+// request offers the tag of the last listing received; a 304 means that
+// listing is still current. The caller always gets its own copy, free to
+// modify.
 func (cl *Client) Campaigns(ctx context.Context) ([]CampaignInfo, error) {
+	cl.listMu.Lock()
+	cond := conditional{tag: cl.listTag}
+	kept := cl.list
+	cl.listMu.Unlock()
 	var infos []CampaignInfo
-	if err := cl.do(ctx, http.MethodGet, "campaigns", nil, &infos); err != nil {
+	if err := cl.do(ctx, http.MethodGet, "campaigns", nil, &cond, &infos); err != nil {
 		return nil, err
 	}
-	return infos, nil
+	if cond.notModified {
+		return copyInfos(kept), nil
+	}
+	cl.listMu.Lock()
+	cl.listTag, cl.list = cond.etag, infos
+	cl.listMu.Unlock()
+	return copyInfos(infos), nil
+}
+
+// copyInfos deep-copies a listing in two allocations: the rows, and one
+// backing array every row's Command is a capped window of. The strings
+// themselves are immutable and shared.
+func copyInfos(src []CampaignInfo) []CampaignInfo {
+	out := make([]CampaignInfo, len(src))
+	copy(out, src)
+	n := 0
+	for i := range src {
+		n += len(src[i].Command)
+	}
+	args := make([]string, 0, n)
+	for i := range out {
+		if out[i].Command == nil {
+			continue
+		}
+		from := len(args)
+		args = append(args, out[i].Command...)
+		out[i].Command = args[from:len(args):len(args)]
+	}
+	return out
 }
 
 // Submit registers a campaign (idempotently: re-submitting a spec the
@@ -161,7 +233,7 @@ func (cl *Client) Submit(ctx context.Context, command []string, shards, maxAttem
 		return "", false, fmt.Errorf("coord: encoding submit request: %w", err)
 	}
 	var sr submitResponse
-	if err := cl.do(ctx, http.MethodPost, "campaigns", body, &sr); err != nil {
+	if err := cl.do(ctx, http.MethodPost, "campaigns", body, nil, &sr); err != nil {
 		return "", false, err
 	}
 	return sr.ID, sr.Created, nil
@@ -175,7 +247,7 @@ func (cl *Client) GC(ctx context.Context, keep int, dryRun bool) (GCResult, erro
 		return GCResult{}, fmt.Errorf("coord: encoding gc request: %w", err)
 	}
 	var res GCResult
-	if err := cl.do(ctx, http.MethodPost, "gc", body, &res); err != nil {
+	if err := cl.do(ctx, http.MethodPost, "gc", body, nil, &res); err != nil {
 		return GCResult{}, err
 	}
 	return res, nil
@@ -255,6 +327,6 @@ func (cl *Client) Fail(ctx context.Context, campaign, worker, leaseID string, sh
 // Status fetches one campaign's snapshot.
 func (cl *Client) Status(ctx context.Context, campaign string) (Status, error) {
 	var st Status
-	err := cl.do(ctx, http.MethodGet, campaign+"/status", nil, &st)
+	err := cl.do(ctx, http.MethodGet, campaign+"/status", nil, nil, &st)
 	return st, err
 }

@@ -39,11 +39,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flit"
@@ -229,15 +231,35 @@ func (f FailureReport) truncate() FailureReport {
 // available. attempts counts lease grants that were consumed — by a
 // completion, a failure report, or an expiry; a voluntary release (the
 // drain path hands back an untouched shard) refunds its grant.
+//
+// A coordinator holds one shardState per shard of every campaign, and at
+// any moment nearly all of them are unleased, so the lease lives behind a
+// pointer and the small fields share one word: 56 bytes a shard
+// (TestShardStateSize pins it).
 type shardState struct {
-	done        bool
-	artifact    string // file name under the campaign's artifact dir, set when done
-	leaseID     string
-	worker      string
-	expiry      time.Time
-	attempts    int
-	quarantined bool
+	artifact    string      // file name under the campaign's artifact dir, set when done
+	lease       *shardLease // nil when the shard is not leased
 	failures    []FailureReport
+	attempts    int32 // journal recovery refuses counts that do not fit
+	done        bool
+	quarantined bool
+}
+
+// shardLease is a shard's current lease: its ID, the worker holding it,
+// and when it lapses without a heartbeat.
+type shardLease struct {
+	id     string
+	worker string
+	expiry time.Time
+}
+
+// grant consumes one attempt. The count saturates instead of wrapping, so
+// a shard can never come back with a negative count however large its
+// budget.
+func (s *shardState) grant() {
+	if s.attempts < math.MaxInt32 {
+		s.attempts++
+	}
 }
 
 // recordFailure appends a report, keeping the newest maxFailuresKept.
@@ -350,7 +372,17 @@ type Coordinator struct {
 	campaigns map[string]*campaign // keyed by CampaignID(spec)
 	done      chan struct{}        // closed when every submitted campaign is complete
 	doneFired bool
+	// listTag holds the content tag of the encoded Campaigns() listing.
+	// It is read without mu, so a 304 never waits behind a journal write,
+	// and dropped under mu wherever state the listing shows may change
+	// (journalLocked, finishLocked). Every drop stores a fresh empty
+	// listingTag, so a tag computed outside mu is published, by
+	// compare-and-swap, only if no drop happened meanwhile.
+	listTag atomic.Pointer[listingTag]
 }
+
+// listingTag is one published content tag; etag is "" when unknown.
+type listingTag struct{ etag string }
 
 // New opens (creating or recovering) the coordinator rooted at dir. A
 // fresh directory starts empty — campaigns arrive through Submit. A
@@ -507,19 +539,18 @@ func (c *Coordinator) Lease(campaign, worker string) (Grant, LeaseState, error) 
 	}
 	for i := range cp.shards {
 		s := &cp.shards[i]
-		if s.done || s.quarantined || s.leaseID != "" {
+		if s.done || s.quarantined || s.lease != nil {
 			continue
 		}
 		cp.seq++
-		s.attempts++
-		s.leaseID = fmt.Sprintf("L%d", cp.seq)
-		s.worker = worker
-		s.expiry = c.opts.Now().Add(c.opts.LeaseTTL)
+		s.grant()
+		s.lease = &shardLease{id: fmt.Sprintf("L%d", cp.seq), worker: worker,
+			expiry: c.opts.Now().Add(c.opts.LeaseTTL)}
 		if err := c.journalLocked(); err != nil {
 			return Grant{}, Wait, err
 		}
 		return Grant{Shard: i, Count: cp.spec.Shards, Command: cp.spec.Command,
-			LeaseID: s.leaseID, TTL: c.opts.LeaseTTL}, Granted, nil
+			LeaseID: s.lease.id, TTL: c.opts.LeaseTTL}, Granted, nil
 	}
 	if changed {
 		if err := c.journalLocked(); err != nil {
@@ -547,8 +578,8 @@ func (c *Coordinator) Heartbeat(campaign, worker, leaseID string, shard int) err
 	if err != nil {
 		return err
 	}
-	s.worker = worker
-	s.expiry = c.opts.Now().Add(c.opts.LeaseTTL)
+	s.lease.worker = worker
+	s.lease.expiry = c.opts.Now().Add(c.opts.LeaseTTL)
 	return c.journalLocked()
 }
 
@@ -569,7 +600,7 @@ func (c *Coordinator) Release(campaign, worker, leaseID string, shard int) error
 	if err != nil {
 		return nil // already expired, superseded, or completed: nothing to release
 	}
-	s.leaseID, s.worker, s.expiry = "", "", time.Time{}
+	s.lease = nil
 	if s.attempts > 0 {
 		s.attempts--
 	}
@@ -606,11 +637,11 @@ func (c *Coordinator) Fail(campaign, worker, leaseID string, shard int, errText,
 	if err != nil {
 		return false, false, false, err
 	}
-	s.recordFailure(FailureReport{Worker: worker, Attempt: s.attempts,
+	s.recordFailure(FailureReport{Worker: worker, Attempt: int(s.attempts),
 		Error: errText, Excerpt: excerpt, UnixMS: c.opts.Now().UnixMilli()})
 	cp.failReports++
-	s.leaseID, s.worker, s.expiry = "", "", time.Time{}
-	if s.attempts >= cp.budget(c.opts.MaxShardAttempts) {
+	s.lease = nil
+	if int(s.attempts) >= cp.budget(c.opts.MaxShardAttempts) {
 		s.quarantined = true
 	}
 	if err := c.journalLocked(); err != nil {
@@ -627,7 +658,7 @@ func shardByLease(cp *campaign, leaseID string, shard int) (*shardState, error) 
 		return nil, badRequest{fmt.Errorf("coord: shard %d of a %d-shard campaign", shard, len(cp.shards))}
 	}
 	s := &cp.shards[shard]
-	if s.done || leaseID == "" || s.leaseID != leaseID {
+	if s.done || s.lease == nil || s.lease.id != leaseID {
 		return nil, ErrLeaseLost
 	}
 	return s, nil
@@ -703,7 +734,7 @@ func (c *Coordinator) Complete(campaign, worker, leaseID string, shard int, arti
 	s.done = true
 	s.artifact = name
 	s.quarantined = false
-	s.leaseID, s.worker, s.expiry = "", "", time.Time{}
+	s.lease = nil
 	if err := c.journalLocked(); err != nil {
 		return false, false, false, err
 	}
@@ -727,15 +758,15 @@ func (c *Coordinator) sweepLocked(cp *campaign) bool {
 	changed := false
 	for i := range cp.shards {
 		s := &cp.shards[i]
-		if s.done || s.leaseID == "" || now.Before(s.expiry) {
+		if s.done || s.lease == nil || now.Before(s.lease.expiry) {
 			continue
 		}
-		s.recordFailure(FailureReport{Worker: s.worker, Attempt: s.attempts,
+		s.recordFailure(FailureReport{Worker: s.lease.worker, Attempt: int(s.attempts),
 			Error:  "lease expired without completion (worker crashed, stalled, or partitioned)",
 			UnixMS: now.UnixMilli()})
 		cp.failReports++
-		s.leaseID, s.worker, s.expiry = "", "", time.Time{}
-		if s.attempts >= cp.budget(c.opts.MaxShardAttempts) {
+		s.lease = nil
+		if int(s.attempts) >= cp.budget(c.opts.MaxShardAttempts) {
 			s.quarantined = true
 		}
 		cp.releases++
@@ -753,6 +784,7 @@ func (c *Coordinator) finishLocked(cp *campaign) {
 		return // already validated (recovery re-entry, duplicate completion)
 	}
 	cp.finished = true
+	c.dropListTagLocked() // the listing shows the verdict
 	arts := make([]*flit.Artifact, 0, len(cp.shards))
 	err := func() error {
 		for i := range cp.shards {
@@ -885,7 +917,7 @@ func (c *Coordinator) statusLocked(cp *campaign) Status {
 	now := c.opts.Now()
 	for i := range cp.shards {
 		s := &cp.shards[i]
-		st.Attempts[i] = s.attempts
+		st.Attempts[i] = int(s.attempts)
 		if s.quarantined {
 			st.Quarantined = append(st.Quarantined, i)
 		}
@@ -897,9 +929,9 @@ func (c *Coordinator) statusLocked(cp *campaign) Status {
 			st.Completed = append(st.Completed, i)
 			continue
 		}
-		if s.leaseID != "" {
-			st.Leases = append(st.Leases, LeaseInfo{Shard: i, Worker: s.worker,
-				LeaseID: s.leaseID, ExpiresMS: s.expiry.Sub(now).Milliseconds()})
+		if s.lease != nil {
+			st.Leases = append(st.Leases, LeaseInfo{Shard: i, Worker: s.lease.worker,
+				LeaseID: s.lease.id, ExpiresMS: s.lease.expiry.Sub(now).Milliseconds()})
 		}
 	}
 	sort.Ints(st.Completed)
@@ -942,6 +974,10 @@ type CampaignInfo struct {
 func (c *Coordinator) Campaigns() []CampaignInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.campaignsLocked()
+}
+
+func (c *Coordinator) campaignsLocked() []CampaignInfo {
 	infos := make([]CampaignInfo, 0, len(c.order))
 	for _, id := range c.order {
 		cp := c.campaigns[id]
@@ -951,7 +987,7 @@ func (c *Coordinator) Campaigns() []CampaignInfo {
 			switch {
 			case cp.shards[i].done:
 				ci.Done++
-			case cp.shards[i].leaseID != "":
+			case cp.shards[i].lease != nil:
 				ci.Leases++
 			}
 			if cp.shards[i].quarantined {

@@ -148,24 +148,41 @@ func mergedOutput(t *testing.T, c *coord.Coordinator, id string, command []strin
 // corruption, foreign fences) aimed at coordination and object traffic
 // alike, at j∈{1,8}. Each campaign's merged artifact set must replay
 // byte-identical to its own unsharded run: cross-campaign isolation is
-// exactly the claim the shared-store safety story makes.
+// exactly the claim the shared-store safety story makes. The conditional
+// case aims the faults at conditional listings only (requests offering
+// If-None-Match), so they land on 304s and on changed listings' 200s, and
+// gives the clients enough attempts that no listing can exhaust its budget
+// on the script alone: every fault must be consumed, and absorbed.
 func TestCampaignsConvergeUnderFaults(t *testing.T) {
-	for _, j := range []int{1, 8} {
-		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		j           int
+		conditional bool
+	}{{"j1", 1, false}, {"j8", 8, false}, {"j8-conditional", 8, true}} {
+		j := tc.j
+		t.Run(tc.name, func(t *testing.T) {
 			want1 := unshardedOutput(t, campaignCommand, j)
 			want2 := unshardedOutput(t, secondCommand, j)
 			c, ids := newCoord(t, coord.Options{LeaseTTL: 2 * time.Second},
 				coord.Spec{Command: campaignCommand, Shards: 4},
 				coord.Spec{Command: secondCommand, Shards: 2})
 			srv, flaky := serveCampaign(t, c)
-			flaky.Push(storetest.Err503, storetest.Pass, storetest.Stall, storetest.Pass,
-				storetest.Truncate, storetest.Corrupt, storetest.Pass, storetest.Err503,
-				storetest.WrongEngine, storetest.Pass, storetest.Err503)
+			opts := fastOpts()
+			if tc.conditional {
+				flaky.Match = func(r *http.Request) bool { return r.Header.Get("If-None-Match") != "" }
+				flaky.Push(storetest.Err503, storetest.Stall, storetest.Pass,
+					storetest.Truncate, storetest.Corrupt, storetest.Err503)
+				opts.Attempts = 8
+			} else {
+				flaky.Push(storetest.Err503, storetest.Pass, storetest.Stall, storetest.Pass,
+					storetest.Truncate, storetest.Corrupt, storetest.Pass, storetest.Err503,
+					storetest.WrongEngine, storetest.Pass, storetest.Err503)
+			}
 
 			var wg sync.WaitGroup
 			errs := make([]error, 2)
 			for w := 0; w < 2; w++ {
-				cl, err := coord.NewClient(srv.URL, flit.EngineVersion, fastOpts())
+				cl, err := coord.NewClient(srv.URL, flit.EngineVersion, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,6 +203,9 @@ func TestCampaignsConvergeUnderFaults(t *testing.T) {
 			case <-c.Done():
 			default:
 				t.Fatal("workers returned but the tenancy is not done")
+			}
+			if n := flaky.Pending(); tc.conditional && n != 0 {
+				t.Fatalf("%d scripted faults never met a conditional listing", n)
 			}
 			commands := [][]string{campaignCommand, secondCommand}
 			for i, want := range []string{want1, want2} {

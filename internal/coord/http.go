@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +16,9 @@ import (
 // serves both scheduling and results. Every scheduling call is scoped to
 // a campaign by ID in the path:
 //
-//	GET  /v1/coord/campaigns                      → 200 []CampaignInfo
+//	GET  /v1/coord/campaigns                      → 200 []CampaignInfo + ETag,
+//	                                                304 when If-None-Match
+//	                                                names the current ETag
 //	POST /v1/coord/campaigns   {command,shards}   → 200 submitResponse
 //	                                                (idempotent by spec)
 //	POST /v1/coord/gc          {keep,dry_run}     → 200 GCResult
@@ -42,6 +46,17 @@ import (
 // artifacts that are not interchangeable. 409 is the one
 // coordination-specific status: the lease named in the request is no
 // longer the shard's current one, and the worker must abandon the shard.
+//
+// The listing is the one conditional read. Every worker round and every
+// fleet poll lists the whole tenancy, and between scheduling changes the
+// answer is the same bytes, so its ETag is a content tag — a truncated
+// SHA-256 of the encoded listing — and a client offering it back in
+// If-None-Match gets 304 with nothing encoded or sent. A content tag (not
+// a change counter) keeps heartbeats and lease-then-release round trips,
+// which journal without changing the listing, on the 304 path, and a
+// restarted coordinator cannot mistake an old tag for a current one.
+// Status is deliberately not conditional: its lease expiries follow the
+// clock, so it changes without any scheduling call.
 const (
 	coordPathPrefix = "/v1/coord/"
 	engineHeader    = "X-Flit-Engine"
@@ -223,7 +238,18 @@ func serveCoord(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 func serveCampaigns(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, c.Campaigns())
+		body, tag, notModified, err := c.listing(r.Header.Get("If-None-Match"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("ETag", tag)
+		if notModified {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
 	case http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
 		if err != nil || int64(len(body)) > maxRequestBody {
@@ -245,6 +271,44 @@ func serveCampaigns(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "campaigns wants GET or POST", http.StatusMethodNotAllowed)
 	}
+}
+
+// listing answers a listing request offering match as If-None-Match: the
+// encoded Campaigns() listing and its content tag, or notModified (and no
+// body) when match is the current tag. A known tag is compared without
+// taking mu or encoding anything; after a drop the listing is encoded
+// once, outside mu, and its tag published unless another drop happened
+// meanwhile.
+func (c *Coordinator) listing(match string) (body []byte, tag string, notModified bool, err error) {
+	if known := c.listTag.Load(); known != nil && known.etag != "" && known.etag == match {
+		return nil, match, true, nil
+	}
+	c.mu.Lock()
+	infos, seen := c.campaignsLocked(), c.listTag.Load()
+	c.mu.Unlock()
+	body, err = json.Marshal(infos)
+	if err != nil {
+		return nil, "", false, fmt.Errorf("coord: encoding listing: %w", err)
+	}
+	tag = contentTag(body)
+	c.listTag.CompareAndSwap(seen, &listingTag{etag: tag})
+	if tag == match {
+		return nil, tag, true, nil
+	}
+	return body, tag, false, nil
+}
+
+// contentTag is the listing's ETag: a quoted, truncated SHA-256 of the
+// encoded listing. Clients check a listing's body against it too.
+func contentTag(body []byte) string {
+	sum := sha256.Sum256(body)
+	return `"` + hex.EncodeToString(sum[:16]) + `"`
+}
+
+// dropListTagLocked forgets the listing's content tag. Callers hold mu and
+// are about to change, or have changed, state the listing shows.
+func (c *Coordinator) dropListTagLocked() {
+	c.listTag.Store(&listingTag{})
 }
 
 // serveGC runs a server-side retirement pass.

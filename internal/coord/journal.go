@@ -3,6 +3,7 @@ package coord
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -43,6 +44,28 @@ type journalShard struct {
 	Failures     []FailureReport `json:"failures,omitempty"`
 }
 
+// zero reports whether the record is an untouched shard's, which encodes
+// as {}: every field above is zero (TestJournalShardZero checks that none
+// is left out).
+func (js *journalShard) zero() bool {
+	return !js.Done && js.Artifact == "" && js.LeaseID == "" && js.Worker == "" &&
+		js.ExpiryUnixMS == 0 && js.Attempts == 0 && !js.Quarantined && len(js.Failures) == 0
+}
+
+// record is the shard's journal record.
+func (s *shardState) record() journalShard {
+	js := journalShard{Done: s.done, Artifact: s.artifact,
+		Attempts: int(s.attempts), Quarantined: s.quarantined,
+		Failures: s.failures}
+	if l := s.lease; l != nil {
+		js.LeaseID, js.Worker = l.id, l.worker
+		if !l.expiry.IsZero() {
+			js.ExpiryUnixMS = l.expiry.UnixMilli()
+		}
+	}
+	return js
+}
+
 // journalCampaign is one campaign's persisted state.
 type journalCampaign struct {
 	ID          string         `json:"id"`
@@ -70,26 +93,41 @@ type journalFileV1 struct {
 }
 
 // journalLocked atomically persists the current state. Callers hold mu.
+// Every acknowledged mutation passes through here, so this is also where
+// the listing's content tag is dropped — once the write is done, not
+// before: until then the mutation is unacknowledged, so a listing
+// answered 304 from the old tag meanwhile is ordered before it, and a
+// fleet poll never waits behind the fsync.
 func (c *Coordinator) journalLocked() error {
+	defer c.dropListTagLocked()
 	jf := journalFile{Version: JournalVersion, Engine: c.engine,
 		Campaigns: make([]journalCampaign, 0, len(c.order))}
+	// Every mutation rewrites the whole snapshot, so its records are most
+	// of a coordinator's garbage. A campaign whose shards are all
+	// untouched — queued, or every grant handed back — records nothing of
+	// its own: it shares blank.
+	var blank []journalShard
 	for _, id := range c.order {
 		cp := c.campaigns[id]
-		jc := journalCampaign{ID: cp.id, Spec: cp.spec, Seq: cp.seq,
-			Releases: cp.releases, FailReports: cp.failReports,
-			Shards: make([]journalShard, len(cp.shards))}
+		var recs []journalShard
 		for i := range cp.shards {
-			s := &cp.shards[i]
-			js := journalShard{Done: s.done, Artifact: s.artifact,
-				LeaseID: s.leaseID, Worker: s.worker,
-				Attempts: s.attempts, Quarantined: s.quarantined,
-				Failures: s.failures}
-			if !s.expiry.IsZero() {
-				js.ExpiryUnixMS = s.expiry.UnixMilli()
+			js := cp.shards[i].record()
+			if recs == nil {
+				if js.zero() {
+					continue
+				}
+				recs = make([]journalShard, len(cp.shards))
 			}
-			jc.Shards[i] = js
+			recs[i] = js
 		}
-		jf.Campaigns = append(jf.Campaigns, jc)
+		if recs == nil {
+			if len(blank) < len(cp.shards) {
+				blank = make([]journalShard, len(cp.shards))
+			}
+			recs = blank[:len(cp.shards)]
+		}
+		jf.Campaigns = append(jf.Campaigns, journalCampaign{ID: cp.id, Spec: cp.spec,
+			Seq: cp.seq, Releases: cp.releases, FailReports: cp.failReports, Shards: recs})
 	}
 	buf, err := json.Marshal(jf)
 	if err != nil {
@@ -162,21 +200,29 @@ func (c *Coordinator) recover(raw []byte) error {
 			releases: jc.Releases, failReports: jc.FailReports,
 			shards: make([]shardState, len(jc.Shards))}
 		for i, js := range jc.Shards {
-			s := shardState{done: js.Done, artifact: js.Artifact,
-				leaseID: js.LeaseID, worker: js.Worker,
-				attempts: js.Attempts, quarantined: js.Quarantined,
-				failures: js.Failures}
 			if js.Attempts < 0 {
 				return fmt.Errorf("coord: journal campaign %s records a negative attempt count on shard %d — refusing a corrupt journal", jc.ID, i)
 			}
+			if js.Attempts > math.MaxInt32 {
+				return fmt.Errorf("coord: journal campaign %s records %d attempts on shard %d, beyond the %d this build counts — refusing a corrupt journal",
+					jc.ID, js.Attempts, i, math.MaxInt32)
+			}
+			s := shardState{done: js.Done, artifact: js.Artifact,
+				attempts: int32(js.Attempts), quarantined: js.Quarantined,
+				failures: js.Failures}
 			if js.Done && js.Quarantined {
 				// A shard cannot be both finished and poisoned; a journal that
 				// claims so was not written by this code, and trusting either
 				// half could resurrect a quarantined shard as leasable.
 				return fmt.Errorf("coord: journal campaign %s marks shard %d both complete and quarantined — refusing a corrupt journal", jc.ID, i)
 			}
-			if js.ExpiryUnixMS != 0 {
-				s.expiry = time.UnixMilli(js.ExpiryUnixMS)
+			if js.LeaseID != "" {
+				// Only a lease ID makes a lease; a worker or expiry recorded
+				// without one names nothing a heartbeat could renew.
+				s.lease = &shardLease{id: js.LeaseID, worker: js.Worker}
+				if js.ExpiryUnixMS != 0 {
+					s.lease.expiry = time.UnixMilli(js.ExpiryUnixMS)
+				}
 			}
 			if s.done {
 				// A completed shard must still have its artifact; a journal that

@@ -27,6 +27,9 @@ func fuzzJournalSeed(mutant string) string {
 		return fmt.Sprintf(base, flit.EngineVersion, id, flit.EngineVersion,
 			`"fail_reports":9007199254740993,`,
 			`{"attempts":1152921504606846976},{"attempts":-9007199254740993}`)
+	case "attempts-beyond-int32":
+		return fmt.Sprintf(base, flit.EngineVersion, id, flit.EngineVersion,
+			"", `{"attempts":2147483648},{"attempts":2147483647}`)
 	case "unknown-terminal":
 		return fmt.Sprintf(base, flit.EngineVersion, id, flit.EngineVersion,
 			`"state":"zombie","fail_reports":1,`,
@@ -45,7 +48,7 @@ func fuzzJournalSeed(mutant string) string {
 // journal that IS adopted must honor the containment invariants — above
 // all, a quarantined shard must never come back leasable.
 func FuzzJournalDecode(f *testing.F) {
-	for _, m := range []string{"valid", "quarantined", "absurd-attempts", "unknown-terminal", "truncated-failure"} {
+	for _, m := range []string{"valid", "quarantined", "absurd-attempts", "attempts-beyond-int32", "unknown-terminal", "truncated-failure"} {
 		f.Add([]byte(fuzzJournalSeed(m)))
 	}
 	f.Add([]byte(`{"version":2,"engine":"` + flit.EngineVersion + `","campaigns":[]}`))

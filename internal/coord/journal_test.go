@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -398,7 +399,7 @@ func TestJournalV2Migration(t *testing.T) {
 
 // TestJournalV3CorruptionRefusals: v3 containment state this build could
 // not have written is refused rather than adopted — a negative attempt
-// count, a shard both done and quarantined (trusting either half could
+// count or one beyond int32, a shard both done and quarantined (trusting either half could
 // resurrect a quarantined shard as leasable), a negative report counter.
 func TestJournalV3CorruptionRefusals(t *testing.T) {
 	writeDir := func(t *testing.T) (string, string) {
@@ -432,6 +433,36 @@ func TestJournalV3CorruptionRefusals(t *testing.T) {
 		if _, err := coord.New(dir, coord.Options{}); err == nil ||
 			!strings.Contains(err.Error(), "negative attempt") {
 			t.Fatalf("negative attempts adopted: %v", err)
+		}
+	})
+	t.Run("attempts-beyond-int32", func(t *testing.T) {
+		dir, _ := writeDir(t)
+		rewriteJournal(t, dir, func(j map[string]any) {
+			journalShardField(j, 0, 1, "attempts", int64(math.MaxInt32)+1)
+		})
+		if _, err := coord.New(dir, coord.Options{}); err == nil ||
+			!strings.Contains(err.Error(), "beyond the 2147483647 this build counts") {
+			t.Fatalf("attempt count beyond int32 adopted: %v", err)
+		}
+		// The largest count that fits is still adopted, and a lease on it
+		// saturates instead of wrapping negative.
+		rewriteJournal(t, dir, func(j map[string]any) {
+			journalShardField(j, 0, 1, "attempts", math.MaxInt32)
+		})
+		c, err := coord.New(dir, coord.Options{MaxShardAttempts: math.MaxInt})
+		if err != nil {
+			t.Fatalf("attempt count at the int32 bound refused: %v", err)
+		}
+		id := c.Campaigns()[0].ID
+		if _, state, err := c.Lease(id, "w2"); err != nil || state != coord.Granted {
+			t.Fatalf("lease at the bound: state=%v err=%v", state, err)
+		}
+		st, err := c.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Attempts[1] != math.MaxInt32 {
+			t.Fatalf("attempts after a grant at the bound = %d, want it saturated at %d", st.Attempts[1], math.MaxInt32)
 		}
 	})
 	t.Run("done-and-quarantined", func(t *testing.T) {
