@@ -360,7 +360,7 @@ func BenchmarkParallelEngineSweep(b *testing.B) {
 // cold j1 sweep, its artifact export, and a warm-started re-run of the
 // identical sweep must produce byte-identical digests while the warm run
 // materializes zero executables and misses the run cache zero times —
-// every covered cell replays from the seeded entry with no link step, no
+// every covered cell replays from the imported record with no link step, no
 // ABI-hazard scan, no machine, and no test execution. The benchmark
 // reports what that buys (warm-sweep-sec vs cold-sweep-sec) and how much
 // build work was skipped, and appends warm_sweep_sec / warm_skipped_builds

@@ -100,8 +100,8 @@ func cmdCoord(args []string, stdout, stderr io.Writer) error {
 // write-through. The coordinator is multi-tenant: -command/-shards
 // submits an initial campaign, `flit coord submit` adds more while it
 // runs, and a directory with a journal resumes every campaign in it —
-// crash recovery is just restarting with the same -dir. A v1
-// (single-campaign) journal from an older build migrates in place.
+// crash recovery is just restarting with the same -dir. A journal of any
+// other format version is refused and left untouched.
 func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coord serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)

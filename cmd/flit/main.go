@@ -38,9 +38,9 @@
 // shard executes only its slice of the expensive evaluations and writes a
 // self-describing JSON artifact (-shard-out) instead of the normal output.
 // `flit merge` validates that the artifacts form a complete shard set from
-// the same engine version and command, seeds a fresh engine's cache with
-// their union, and replays the recorded command — producing output
-// byte-identical to an unsharded run.
+// the same engine version and command, imports their union into a fresh
+// engine's cache as read-only records, and replays the recorded command —
+// producing output byte-identical to an unsharded run.
 //
 // Observability: -stats prints build/run-cache hit/miss/eviction counters
 // and the bisect engine's execution counters (paper count vs speculative
@@ -48,11 +48,14 @@
 // results to M entries with LRU eviction (0 = unbounded) so long-lived
 // runs do not grow memory without bound.
 //
-// Incremental runs: -warm-start a.json,b.json seeds the engine's cache
-// from previously exported shard artifacts before the run. Unlike merge,
+// Incremental runs: -warm-start a.json,b.json imports previously exported
+// shard artifacts into the engine's cache before the run. Unlike merge,
 // no complete shard set is required — any artifacts from this engine
-// version will do; covered evaluations become cache hits, everything else
-// is recomputed, and the output is byte-identical to a cold run.
+// version will do; covered evaluations are answered from the imported
+// records, everything else is recomputed, and the output is
+// byte-identical to a cold run. Imported records never enter the memo, so
+// -cache-cap never evicts them, and a warm-started shard exports exactly
+// the records its run asked for.
 //
 // Persistence: -store DIR attaches an on-disk content-addressed run store
 // as the cache's second tier. Every in-memory miss consults the store by
@@ -96,8 +99,8 @@
 // unstamped, so duplicate or late uploads carry identical bytes and are
 // accepted idempotently. The coordinator journals its state atomically
 // before every acknowledgment; restarting it with the same -dir resumes
-// every campaign exactly (an older single-campaign journal migrates in
-// place). The same mux serves the object-store protocol, so workers
+// every campaign exactly (a journal of another format version is refused,
+// untouched). The same mux serves the object-store protocol, so workers
 // write runs through to the coordinator's shared store and a re-leased
 // shard replays its predecessor's finished cells as warm hits — across
 // campaigns too, because store keys are injective over the same
@@ -224,14 +227,14 @@ paper's sequential order); output is bit-identical at every -j.
 -shard i/N executes one shard of the deterministic job index space and
 writes a JSON result artifact to -shard-out FILE instead of the normal
 output; "flit merge" reassembles a complete artifact set into output
-byte-identical to the unsharded run. -warm-start a.json,b.json seeds the
-cache from prior artifacts (no complete set required) before running;
-with it, -delta-out FILE writes the run's DeltaReport (new/dropped/changed
-keys vs the warmed baseline) and -delta-verify recomputes covered
-evaluations to detect bit-exact divergence instead of trusting them.
--stats prints cache and bisect execution counters (plus the delta summary
-when warm-started) to stderr; -cache-cap M bounds resident run results
-with LRU eviction (0 = unbounded).
+byte-identical to the unsharded run. -warm-start a.json,b.json imports
+prior artifacts (no complete set required) before running; with it,
+-delta-out FILE writes the run's DeltaReport (new/dropped/changed keys vs
+the warmed baseline) and -delta-verify recomputes covered evaluations to
+detect bit-exact divergence instead of trusting them. -stats prints cache
+and bisect execution counters (plus the delta summary when warm-started)
+to stderr; -cache-cap M bounds resident computed run results with LRU
+eviction (0 = unbounded; imported records are never evicted).
 
 -store DIR attaches a persistent on-disk run store as the cache's second
 tier: in-memory misses are answered from DIR before any build happens and
@@ -256,7 +259,7 @@ from engine, command, and shard count) and leases their shard indices to
 leases: a crashed or stalled worker's shard is re-leased, duplicate or
 late completions are accepted idempotently (artifacts are deterministic),
 and the journaled coordinator resumes every campaign exactly after a
-restart with the same -dir (older single-campaign journals migrate).
+restart with the same -dir (journals of other format versions are refused).
 "flit coord submit" registers campaigns while it runs (idempotent by
 spec); workers drain one campaign, then pick up the next. "flit coord
 status" renders the fleet view (or one campaign's leases with -campaign)
@@ -309,7 +312,7 @@ func newFlagSet(name string, stderr io.Writer) (*flag.FlagSet, *cliOpts) {
 		stats:    fs.Bool("stats", false, "print cache and bisect execution counters to stderr"),
 		cacheCap: fs.Int("cache-cap", 0, "max resident memoized run results, LRU-evicted (0 = unbounded)"),
 		warmStart: fs.String("warm-start", "",
-			"comma-separated shard artifacts whose results seed the cache (no complete set required)"),
+			"comma-separated shard artifacts whose results are imported before the run (no complete set required)"),
 		deltaOut: fs.String("delta-out", "",
 			"write the run's DeltaReport vs the -warm-start baseline to FILE (JSON)"),
 		deltaVerify: fs.Bool("delta-verify", false,
@@ -365,12 +368,21 @@ func readArtifacts(paths []string) ([]*flit.Artifact, error) {
 	return arts, nil
 }
 
-// loadWarmStart seeds an engine's cache from the -warm-start artifact
-// list. Unlike merge it tolerates any subset of artifacts — warm-starting
+// loadWarmStart imports the -warm-start artifact list into an engine's
+// cache. Unlike merge it tolerates any subset of artifacts — warm-starting
 // reuses results, it does not replay a command.
 func (o *cliOpts) loadWarmStart(eng *experiments.Engine) error {
 	if *o.warmStart == "" {
 		return nil
+	}
+	if *o.cacheCap <= 0 {
+		// Warm starts track provenance: -stats can then summarize the
+		// delta, and -delta-out can write the structured report. Not under
+		// -cache-cap, though — eviction forgets computed entries, so the
+		// delta would misreport them; checkDeltaFlags already rejected the
+		// explicit delta flags, and a capped warm start simply reports no
+		// delta at all.
+		eng.EnableDelta(*o.deltaVerify)
 	}
 	arts, err := readArtifacts(strings.Split(*o.warmStart, ","))
 	if err != nil {
@@ -423,15 +435,6 @@ func (o *cliOpts) engine() (*experiments.Engine, error) {
 	eng.SetShard(shard)
 	if err := o.attachStore(eng); err != nil {
 		return nil, err
-	}
-	if *o.warmStart != "" && *o.cacheCap <= 0 {
-		// Warm starts track provenance: -stats can then summarize the
-		// delta, and -delta-out can write the structured report. Not under
-		// -cache-cap, though — eviction removes entries (and their
-		// provenance) from the cache, so any delta would be fiction;
-		// checkDeltaFlags already rejected the explicit delta flags, and a
-		// capped warm start simply reports no delta at all.
-		eng.EnableDelta(*o.deltaVerify)
 	}
 	if err := o.loadWarmStart(eng); err != nil {
 		return nil, err
@@ -655,9 +658,10 @@ func cmdExperiments(args []string, stdout, stderr io.Writer) error {
 
 // cmdMerge reassembles a complete set of shard artifacts: it validates
 // that they share this build's engine version and one command and cover
-// every shard index, seeds a fresh engine's cache with their union, and
-// replays the recorded command — every expensive evaluation is a cache
-// hit, and the output is byte-identical to an unsharded run.
+// every shard index, imports their union into a fresh engine's cache, and
+// replays the recorded command — every expensive evaluation is answered
+// from the imported records, and the output is byte-identical to an
+// unsharded run.
 func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	fs, o := newFlagSet("merge", stderr)
 	if err := parseFlags(fs, args); err != nil {
@@ -665,11 +669,6 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	}
 	if *o.shardStr != "" || *o.shardOut != "" {
 		return errors.New("merge does not accept -shard/-shard-out (it replays a complete shard set)")
-	}
-	if *o.cacheCap > 0 {
-		// A capped cache would evict the imported results before the
-		// replay reads them, recomputing what the shards already shipped.
-		return errors.New("merge does not accept -cache-cap (imported shard results must stay resident for the replay)")
 	}
 	arts, err := readArtifacts(fs.Args())
 	if err != nil {
@@ -684,8 +683,8 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	eng := experiments.NewEngineCap(*o.j, *o.cacheCap)
 	// -store composes with merge: any evaluation the shard set does not
 	// cover is answered from (and written through to) the store. Imported
-	// shard results themselves are never written through — they are seeds,
-	// not computations of this process.
+	// shard results themselves are never written through — they are not
+	// computations of this process.
 	if err := o.attachStore(eng); err != nil {
 		return err
 	}
@@ -693,11 +692,8 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	// -warm-start composes with merge: extra artifacts (e.g. yesterday's
-	// campaign) seed additional cache entries on top of the shard set, and
-	// with -delta-out/-stats the replay is also diffed against them.
-	if *o.warmStart != "" {
-		eng.EnableDelta(*o.deltaVerify)
-	}
+	// campaign) are imported on top of the shard set, and with
+	// -delta-out/-stats the replay is also diffed against them.
 	if err := o.loadWarmStart(eng); err != nil {
 		return err
 	}

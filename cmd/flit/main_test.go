@@ -218,6 +218,38 @@ func TestMergeShardedExperimentsEquivalence(t *testing.T) {
 	}
 }
 
+// TestMergeUnderCacheCap: imported shard results are never evicted, so a
+// merge under the tightest -cache-cap still replays every evaluation from
+// the artifacts and prints the unsharded output byte for byte.
+func TestMergeUnderCacheCap(t *testing.T) {
+	dir := t.TempDir()
+	var want, stdout, stderr bytes.Buffer
+	if code := run([]string{"experiments", "-j", "2", "table4"}, &want, &stderr); code != 0 {
+		t.Fatalf("unsharded run: exit %d, stderr: %s", code, stderr.String())
+	}
+	paths := []string{filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")}
+	for i, p := range paths {
+		stderr.Reset()
+		code := run([]string{"experiments", "-j", "2",
+			"-shard", fmt.Sprintf("%d/2", i), "-shard-out", p, "table4"}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("shard %d: exit %d, stderr: %s", i, code, stderr.String())
+		}
+	}
+	var got bytes.Buffer
+	stderr.Reset()
+	if code := run(append([]string{"merge", "-cache-cap", "1", "-stats"}, paths...), &got, &stderr); code != 0 {
+		t.Fatalf("merge -cache-cap 1: exit %d, stderr: %s", code, stderr.String())
+	}
+	if got.String() != want.String() {
+		t.Errorf("capped merge differs from unsharded run:\n--- merged ---\n%s\n--- unsharded ---\n%s",
+			got.String(), want.String())
+	}
+	if !strings.Contains(stderr.String(), "cache runs:  hits=0 misses=0") {
+		t.Errorf("capped merge recomputed evaluations:\n%s", stderr.String())
+	}
+}
+
 // TestMergeRejectsBadShardSets: the CLI must refuse incomplete sets and
 // foreign engine versions with a non-zero exit.
 func TestMergeRejectsBadShardSets(t *testing.T) {
@@ -435,10 +467,10 @@ func TestDeltaOutOnWarmStartedRun(t *testing.T) {
 }
 
 // TestMergeWarmStartDeltaComparesBits: on the merge path the shard set
-// seeds the cache before the -warm-start baseline, so a baseline hit is
+// is imported before the -warm-start baseline, so a baseline hit is
 // served the *current* generation's bits — a drifted value must surface
-// as changed, not be trusted as a baseline hit. (Regression: the seeded
-// branch once counted uses>0 as unchanged without comparing.)
+// as changed, not be trusted as a baseline hit. (Regression: baseline
+// hits were once counted unchanged without comparing.)
 func TestMergeWarmStartDeltaComparesBits(t *testing.T) {
 	dir := t.TempDir()
 	cur := filepath.Join(dir, "cur.json")

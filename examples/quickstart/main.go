@@ -8,7 +8,7 @@
 //	quickstart -shard 1/2 -shard-out s1.json   # machine 2
 //	quickstart -merge s0.json,s1.json          # byte-identical to plain run
 //
-// ... and the incremental one: -warm-start seeds the cache from a prior
+// ... and the incremental one: -warm-start imports a prior
 // artifact, -delta-out reports exactly which build/run results changed
 // against that baseline, and -unroll simulates the config drift a
 // long-lived campaign exists to monitor (the plain g++ -O3 matrix row
@@ -109,7 +109,7 @@ type opts struct {
 	shard     string // "i/N" shard of the matrix, artifact mode
 	shardOut  string // artifact file a -shard run writes
 	merge     string // comma-separated shard artifacts to merge and replay
-	warmStart string // comma-separated artifacts that seed the cache
+	warmStart string // comma-separated artifacts imported into the cache
 	deltaOut  string // DeltaReport file a warm-started run writes
 	unroll    bool   // mutate the matrix (incremental-campaign demo)
 	store     string // persistent run-store directory
@@ -121,7 +121,7 @@ func main() {
 	flag.StringVar(&o.shard, "shard", "", `run one shard "i/N" of the matrix and write an artifact`)
 	flag.StringVar(&o.shardOut, "shard-out", "", "artifact file the -shard run writes")
 	flag.StringVar(&o.merge, "merge", "", "comma-separated shard artifacts to merge and replay")
-	flag.StringVar(&o.warmStart, "warm-start", "", "comma-separated artifacts whose results seed the cache")
+	flag.StringVar(&o.warmStart, "warm-start", "", "comma-separated artifacts whose results are imported into the cache")
 	flag.StringVar(&o.deltaOut, "delta-out", "", "write the run's DeltaReport vs the -warm-start baseline to FILE")
 	flag.BoolVar(&o.unroll, "unroll", false,
 		"mutate the matrix: the plain g++ -O3 row becomes g++ -O3 -funroll-loops (incremental-campaign demo)")

@@ -135,7 +135,7 @@ type Search struct {
 
 // runPlanned executes the search's test against a lazily-materialized
 // build plan through the build/run cache: memoized probes — within this
-// search, across searches, or seeded from a warm-start artifact — replay
+// search, across searches, or imported from a warm-start artifact — replay
 // without linking the plan at all.
 func (s *Search) runPlanned(b *link.Builder) (flit.Result, error) {
 	return s.Cache.RunAllPlanned(s.Test, b)

@@ -53,10 +53,9 @@ import (
 )
 
 // JournalVersion is the on-disk format version of the coordinator
-// journal. Version 3 adds failure containment (per-shard attempt
-// counts, failure reports, quarantine); version 2 (multi-tenant, PR 9)
-// and version 1 (one campaign per coordinator, PR 8) migrate on
-// recovery.
+// journal: the multi-tenant campaign set with failure containment
+// (per-shard attempt counts, failure reports, quarantine). Recovery reads
+// this version only.
 const JournalVersion = 3
 
 // journalName is the journal file at the root of a coordinator directory.
@@ -112,8 +111,7 @@ type Spec struct {
 // ID is injective over exactly the coordinates that make two shard
 // artifacts interchangeable. The derivation is deterministic across
 // processes — submitting the same spec twice names the same campaign
-// (submission is idempotent), and a v1 journal migrates to the ID its
-// campaign would have been submitted under.
+// (submission is idempotent).
 func CampaignID(spec Spec) string {
 	h := sha256.New()
 	io.WriteString(h, spec.Engine)
@@ -388,26 +386,32 @@ type listingTag struct{ etag string }
 // fresh directory starts empty — campaigns arrive through Submit. A
 // directory holding a journal resumes every campaign in it exactly:
 // done shards stay done, acknowledged leases keep their IDs. A journal
-// from a different engine version or a newer journal format refuses to
-// open; a version-1 (single-campaign) journal migrates to the
-// multi-tenant format in place.
+// from a different engine version or of any other journal format refuses
+// to open, leaving the directory exactly as it was.
 func New(dir string, opts Options) (*Coordinator, error) {
 	opts.withDefaults()
-	if err := os.MkdirAll(filepath.Join(dir, artifactsDir), 0o755); err != nil {
-		return nil, fmt.Errorf("coord: opening %s: %w", dir, err)
-	}
 	c := &Coordinator{dir: dir, engine: opts.Engine, opts: opts,
 		campaigns: make(map[string]*campaign), done: make(chan struct{})}
 	raw, err := os.ReadFile(filepath.Join(dir, journalName))
-	switch {
-	case os.IsNotExist(err):
-		if err := c.journalLocked(); err != nil {
+	fresh := os.IsNotExist(err)
+	if err != nil && !fresh {
+		return nil, fmt.Errorf("coord: reading journal: %w", err)
+	}
+	if !fresh {
+		if err := c.recover(raw); err != nil {
 			return nil, err
 		}
-	case err != nil:
-		return nil, fmt.Errorf("coord: reading journal: %w", err)
-	default:
-		if err := c.recover(raw); err != nil {
+	}
+	if err := os.MkdirAll(filepath.Join(dir, artifactsDir), 0o755); err != nil {
+		return nil, fmt.Errorf("coord: opening %s: %w", dir, err)
+	}
+	for _, id := range c.order {
+		if err := os.MkdirAll(c.ArtifactDir(id), 0o755); err != nil {
+			return nil, fmt.Errorf("coord: recovering campaign %s: %w", id, err)
+		}
+	}
+	if fresh {
+		if err := c.journalLocked(); err != nil {
 			return nil, err
 		}
 	}

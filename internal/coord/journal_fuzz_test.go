@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,13 +45,15 @@ func fuzzJournalSeed(mutant string) string {
 }
 
 // FuzzJournalDecode throws arbitrary bytes at journal recovery: whatever
-// the coord.json holds, opening the directory must never panic, and a
-// journal that IS adopted must honor the containment invariants — above
-// all, a quarantined shard must never come back leasable.
+// the coord.json holds, opening the directory must never panic, only a
+// current-version journal may be adopted, and an adopted one must honor
+// the containment invariants — above all, a quarantined shard must never
+// come back leasable.
 func FuzzJournalDecode(f *testing.F) {
 	for _, m := range []string{"valid", "quarantined", "absurd-attempts", "attempts-beyond-int32", "unknown-terminal", "truncated-failure"} {
 		f.Add([]byte(fuzzJournalSeed(m)))
 	}
+	// Older and newer formats: refusal inputs.
 	f.Add([]byte(`{"version":2,"engine":"` + flit.EngineVersion + `","campaigns":[]}`))
 	f.Add([]byte(`{"version":1,"spec":{"engine":"` + flit.EngineVersion + `","command":["x"],"shards":1},"shards":[{}]}`))
 	f.Add([]byte(`{"version":99,"engine":"flit-go/future"}`))
@@ -63,6 +66,12 @@ func FuzzJournalDecode(f *testing.F) {
 		c, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
 		if err != nil {
 			return // refusal is always a legal answer to hostile bytes
+		}
+		var probe struct {
+			Version int `json:"version"`
+		}
+		if json.Unmarshal(raw, &probe) == nil && probe.Version != coord.JournalVersion {
+			t.Fatalf("adopted a v%d journal; this build reads only v%d", probe.Version, coord.JournalVersion)
 		}
 		for _, ci := range c.Campaigns() {
 			st, err := c.Status(ci.ID)

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,170 +22,70 @@ import (
 	"repro/internal/flit"
 )
 
-// v1Journal is the exact PR 8 single-campaign journal shape, written by
-// hand because the current build only reads it.
-type v1Journal struct {
-	Version  int      `json:"version"`
-	Spec     v1Spec   `json:"spec"`
-	Seq      int64    `json:"seq"`
-	Releases int64    `json:"releases"`
-	Shards   []v1Shrd `json:"shards"`
-}
-
-type v1Spec struct {
-	Engine  string   `json:"engine"`
-	Command []string `json:"command"`
-	Shards  int      `json:"shards"`
-}
-
-type v1Shrd struct {
-	Done         bool   `json:"done,omitempty"`
-	Artifact     string `json:"artifact,omitempty"`
-	LeaseID      string `json:"lease_id,omitempty"`
-	Worker       string `json:"worker,omitempty"`
-	ExpiryUnixMS int64  `json:"expiry_unix_ms,omitempty"`
-}
-
-// writeV1Dir lays out a PR 8 coordinator directory: flat artifacts/ with
-// shard 0 completed (a real artifact), shard 1 under a live lease.
-func writeV1Dir(t *testing.T, engine string) (dir string, art0 []byte) {
+// writeV1Dir lays out a coordinator directory as the single-campaign
+// version-1 journal format left it: a flat artifacts/ root holding shard
+// 0's artifact, and a journal recording shard 0 done and shard 1 leased.
+func writeV1Dir(t *testing.T, engine string) string {
 	t.Helper()
-	dir = t.TempDir()
+	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "artifacts"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	art0, err := experiments.RunShard(campaignCommand, exec.Shard{Index: 0, Count: 2}, 2)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "artifacts", "shard-0.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "artifacts", "shard-0.json"), art0, 0o644); err != nil {
+	raw := fmt.Sprintf(`{"version":1,"spec":{"engine":%q,"command":["experiments","table4"],"shards":2},`+
+		`"seq":7,"releases":3,"shards":[{"done":true,"artifact":"shard-0.json"},`+
+		`{"lease_id":"L7","worker":"w-old","expiry_unix_ms":%d}]}`,
+		engine, time.Now().Add(time.Hour).UnixMilli())
+	if err := os.WriteFile(filepath.Join(dir, "coord.json"), []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j := v1Journal{
-		Version:  1,
-		Spec:     v1Spec{Engine: engine, Command: campaignCommand, Shards: 2},
-		Seq:      7,
-		Releases: 3,
-		Shards: []v1Shrd{
-			{Done: true, Artifact: "shard-0.json"},
-			{LeaseID: "L7", Worker: "w-old", ExpiryUnixMS: time.Now().Add(time.Hour).UnixMilli()},
-		},
-	}
-	raw, err := json.Marshal(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "coord.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir, art0
+	return dir
 }
 
-// TestJournalV1Migration: a PR 8 single-campaign coord.json resumes as a
-// one-campaign tenancy byte-compatibly — done shards stay done (their
-// artifact files move into the per-campaign directory), live lease IDs
-// keep working, and the straggler counter carries over.
-func TestJournalV1Migration(t *testing.T) {
-	dir, _ := writeV1Dir(t, flit.EngineVersion)
-	c, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatalf("migrating a v1 journal: %v", err)
-	}
-	wantID := coord.CampaignID(coord.Spec{Engine: flit.EngineVersion, Command: campaignCommand, Shards: 2})
-	infos := c.Campaigns()
-	if len(infos) != 1 || infos[0].ID != wantID {
-		t.Fatalf("migrated tenancy = %+v, want one campaign %s", infos, wantID)
-	}
-	st, err := c.Status(wantID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Done != 1 || len(st.Completed) != 1 || st.Completed[0] != 0 {
-		t.Fatalf("migrated completions: %+v, want shard 0 done", st)
-	}
-	if st.Releases != 3 {
-		t.Fatalf("migrated releases = %d, want 3", st.Releases)
-	}
-	if len(st.Leases) != 1 || st.Leases[0].LeaseID != "L7" || st.Leases[0].Shard != 1 {
-		t.Fatalf("migrated leases: %+v, want L7 on shard 1", st.Leases)
-	}
-	// The artifact moved into the campaign's directory.
-	if _, err := os.Stat(filepath.Join(c.ArtifactDir(wantID), "shard-0.json")); err != nil {
-		t.Fatalf("migrated artifact not in campaign dir: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "artifacts", "shard-0.json")); !os.IsNotExist(err) {
-		t.Fatalf("migrated artifact still at the v1 path: %v", err)
-	}
-	// The live lease keeps working: the old worker heartbeats and
-	// completes under its pre-migration lease ID.
-	if err := c.Heartbeat(wantID, "w-old", "L7", 1); err != nil {
-		t.Fatalf("heartbeat on a migrated lease: %v", err)
-	}
-	art1, err := experiments.RunShard(campaignCommand, exec.Shard{Index: 1, Count: 2}, 2)
+// dirSnapshot maps every path under dir to its contents (directories to
+// a marker), so a test can assert that an operation left it untouched.
+func dirSnapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	snap := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			snap[path] = "<dir>"
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		snap[path] = string(raw)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Complete(wantID, "w-old", "L7", 1, art1); err != nil {
-		t.Fatalf("completing a migrated lease: %v", err)
-	}
-	if st, err := c.Status(wantID); err != nil || !st.Complete || !st.Validated {
-		t.Fatalf("migrated campaign did not finish: %+v (%v)", st, err)
-	}
-	// New leases do not collide with pre-migration IDs: seq carried over.
-	id2, _, err := c.Submit(coord.Spec{Command: campaignCommand, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, state, err := c.Lease(id2, "w-new")
-	if err != nil || state != coord.Granted {
-		t.Fatalf("fresh lease after migration: %v %v", state, err)
-	}
-	if g.LeaseID == "L7" {
-		t.Fatal("fresh lease reused a migrated lease ID")
-	}
-	// Migration is one-way and stable: reopening recovers the v2 tenancy.
-	c2, err := coord.New(dir, coord.Options{})
-	if err != nil {
-		t.Fatalf("reopening a migrated directory: %v", err)
-	}
-	if infos := c2.Campaigns(); len(infos) != 2 {
-		t.Fatalf("reopened tenancy = %+v, want 2 campaigns", infos)
-	}
+	return snap
 }
 
-// TestJournalV1MigrationResumesAfterCrash: a crash after the artifact
-// moves but before the v2 journal lands leaves the v1 journal naming
-// files that already sit at their v2 paths; the next open must treat the
-// completed move as success.
-func TestJournalV1MigrationResumesAfterCrash(t *testing.T) {
-	dir, art0 := writeV1Dir(t, flit.EngineVersion)
-	// Simulate the torn state: the file already moved, the journal did not.
-	wantID := coord.CampaignID(coord.Spec{Engine: flit.EngineVersion, Command: campaignCommand, Shards: 2})
-	if err := os.MkdirAll(filepath.Join(dir, "artifacts", wantID), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, "artifacts", "shard-0.json"),
-		filepath.Join(dir, "artifacts", wantID, "shard-0.json")); err != nil {
-		t.Fatal(err)
-	}
-	c, err := coord.New(dir, coord.Options{})
-	if err != nil {
-		t.Fatalf("resuming a torn migration: %v", err)
-	}
-	st, err := c.Status(wantID)
-	if err != nil || st.Done != 1 {
-		t.Fatalf("resumed migration lost the done shard: %+v (%v)", st, err)
-	}
-	got, err := os.ReadFile(filepath.Join(c.ArtifactDir(wantID), "shard-0.json"))
-	if err != nil || string(got) != string(art0) {
-		t.Fatalf("resumed migration damaged the artifact: %v", err)
-	}
-}
-
-// TestJournalRefusals: journals this build must not adopt — a newer
-// format version (its state may not be schedulable faithfully) and any
-// journal fenced to a foreign engine, in both v1 and v2 forms.
+// TestJournalRefusals: journals this build must not adopt — any format
+// version but the current one (an older one is not reinterpreted, a newer
+// one may record state this build cannot schedule faithfully), a journal
+// fenced to a foreign engine, and garbage. Every refusal names what it
+// found and leaves the directory byte for byte as it was.
 func TestJournalRefusals(t *testing.T) {
+	refused := func(t *testing.T, dir, want string) {
+		t.Helper()
+		before := dirSnapshot(t, dir)
+		if _, err := coord.New(dir, coord.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("journal adopted or refused for the wrong reason: %v (want %q)", err, want)
+		}
+		if after := dirSnapshot(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refusal changed the directory:\nbefore %v\nafter  %v", before, after)
+		}
+	}
+	versionErr := func(v int) string {
+		return fmt.Sprintf("journal format v%d, this build reads only v%d", v, coord.JournalVersion)
+	}
 	t.Run("newer-version", func(t *testing.T) {
 		dir := t.TempDir()
 		raw := fmt.Sprintf(`{"version": %d, "engine": %q, "campaigns": []}`,
@@ -191,21 +93,49 @@ func TestJournalRefusals(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "coord.json"), []byte(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := coord.New(dir, coord.Options{}); err == nil ||
-			!strings.Contains(err.Error(), "journal format") {
-			t.Fatalf("newer journal adopted: %v", err)
+		refused(t, dir, versionErr(coord.JournalVersion+1))
+	})
+	t.Run("older-version-v1", func(t *testing.T) {
+		refused(t, writeV1Dir(t, flit.EngineVersion), versionErr(1))
+	})
+	t.Run("older-version-v2", func(t *testing.T) {
+		// A current journal with a live lease, rewound to the version-2
+		// shape: the same tenancy without the containment fields.
+		dir := t.TempDir()
+		c, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
+		if err != nil {
+			t.Fatal(err)
 		}
+		id, _, err := c.Submit(coord.Spec{Command: campaignCommand, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, state, err := c.Lease(id, "w-old"); err != nil || state != coord.Granted {
+			t.Fatalf("lease: state=%v err=%v", state, err)
+		}
+		rewriteJournal(t, dir, func(j map[string]any) {
+			j["version"] = 2
+			for _, ci := range j["campaigns"].([]any) {
+				cm := ci.(map[string]any)
+				delete(cm, "fail_reports")
+				for _, si := range cm["shards"].([]any) {
+					sm := si.(map[string]any)
+					delete(sm, "attempts")
+					delete(sm, "quarantined")
+					delete(sm, "failures")
+				}
+			}
+		})
+		refused(t, dir, versionErr(2))
 	})
 	t.Run("foreign-engine-v1", func(t *testing.T) {
-		dir, _ := writeV1Dir(t, "flit-go/alien")
-		if _, err := coord.New(dir, coord.Options{}); err == nil ||
-			!strings.Contains(err.Error(), "not interchangeable") {
-			t.Fatalf("foreign-engine v1 journal adopted: %v", err)
-		}
+		// The format fence comes first: a version-1 journal is refused for
+		// its version whatever engine it names.
+		refused(t, writeV1Dir(t, "flit-go/alien"), versionErr(1))
 	})
 	t.Run("foreign-engine-v2", func(t *testing.T) {
 		dir := t.TempDir()
-		// Write a valid v2 journal under an alien engine, then reopen with
+		// Write a valid journal under an alien engine, then reopen with
 		// this build's fence.
 		c, err := coord.New(dir, coord.Options{Engine: "flit-go/alien"})
 		if err != nil {
@@ -214,20 +144,14 @@ func TestJournalRefusals(t *testing.T) {
 		if _, _, err := c.Submit(coord.Spec{Command: campaignCommand, Shards: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := coord.New(dir, coord.Options{}); err == nil ||
-			!strings.Contains(err.Error(), "not interchangeable") {
-			t.Fatalf("foreign-engine v2 journal adopted: %v", err)
-		}
+		refused(t, dir, "not interchangeable")
 	})
 	t.Run("garbage", func(t *testing.T) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "coord.json"), []byte("not json"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := coord.New(dir, coord.Options{}); err == nil ||
-			!strings.Contains(err.Error(), "unreadable journal") {
-			t.Fatalf("garbage journal adopted: %v", err)
-		}
+		refused(t, dir, "unreadable journal")
 	})
 }
 
@@ -296,7 +220,7 @@ func TestClientCtxCancelAborts(t *testing.T) {
 }
 
 // rewriteJournal decodes dir's coord.json into a generic map, applies
-// mutate, and writes it back — the hand-editing the migration and
+// mutate, and writes it back — the hand-editing the refusal and
 // corruption tests need to simulate journals this build did not write.
 func rewriteJournal(t *testing.T, dir string, mutate func(j map[string]any)) {
 	t.Helper()
@@ -325,76 +249,6 @@ func journalShardField(j map[string]any, campaign, shard int, field string, v an
 	cs := j["campaigns"].([]any)
 	sh := cs[campaign].(map[string]any)["shards"].([]any)
 	sh[shard].(map[string]any)[field] = v
-}
-
-// TestJournalV2Migration: a PR 9 multi-tenant journal (version 2 — the
-// v3 shape minus the containment fields) is adopted in place: the
-// tenancy resumes with zero attempts and no quarantine, and the file on
-// disk is atomically re-stamped to the current version so migration runs
-// at most once.
-func TestJournalV2Migration(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := c1.Submit(coord.Spec{Command: campaignCommand, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, state, err := c1.Lease(id, "w-old")
-	if err != nil || state != coord.Granted {
-		t.Fatalf("lease: state=%v err=%v", state, err)
-	}
-	// Rewind the snapshot to version 2: strip every v3 field, exactly as a
-	// PR 9 build would have written it.
-	rewriteJournal(t, dir, func(j map[string]any) {
-		j["version"] = 2
-		for _, ci := range j["campaigns"].([]any) {
-			cm := ci.(map[string]any)
-			delete(cm, "fail_reports")
-			for _, si := range cm["shards"].([]any) {
-				sm := si.(map[string]any)
-				delete(sm, "attempts")
-				delete(sm, "quarantined")
-				delete(sm, "failures")
-			}
-		}
-	})
-	c2, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatalf("migrating a v2 journal: %v", err)
-	}
-	st, err := c2.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Quarantined) != 0 || len(st.Failures) != 0 {
-		t.Fatalf("v2 migration invented containment state: %+v", st)
-	}
-	// The migrated lease keeps working under its pre-migration ID. The
-	// grant's attempt predates v3 accounting, so attempts start at zero.
-	if err := c2.Heartbeat(id, "w-old", g.LeaseID, g.Shard); err != nil {
-		t.Fatalf("heartbeat on a migrated lease: %v", err)
-	}
-	// The file was re-stamped in place.
-	raw, err := os.ReadFile(filepath.Join(dir, "coord.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		t.Fatal(err)
-	}
-	if probe.Version != coord.JournalVersion {
-		t.Fatalf("migrated journal on disk is v%d, want re-stamp to v%d", probe.Version, coord.JournalVersion)
-	}
-	// Stable: a third open is an ordinary current-version recovery.
-	if _, err := coord.New(dir, coord.Options{}); err != nil {
-		t.Fatalf("reopening a migrated directory: %v", err)
-	}
 }
 
 // TestJournalV3CorruptionRefusals: v3 containment state this build could

@@ -47,17 +47,11 @@ type Cache[V any] struct {
 }
 
 type cacheEntry[V any] struct {
-	key       string
-	done      chan struct{}
-	val       V
-	err       error
-	completed bool // guarded by Cache.mu
-	// seeded marks an entry installed by Seed (imported from an artifact)
-	// rather than computed here; uses counts how many Do calls this entry
-	// answered. Both guarded by Cache.mu — the provenance the incremental
-	// campaign engine's delta detector reads back through EachInfo.
-	seeded     bool
-	uses       int64
+	key        string
+	done       chan struct{}
+	val        V
+	err        error
+	completed  bool // guarded by Cache.mu
 	prev, next *cacheEntry[V]
 }
 
@@ -82,14 +76,13 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, error) {
 	}
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
-		e.uses++
 		c.moveToFront(e)
 		c.mu.Unlock()
 		c.hits.Add(1)
 		<-e.done
 		return e.val, e.err
 	}
-	e := &cacheEntry[V]{key: key, done: make(chan struct{}), uses: 1}
+	e := &cacheEntry[V]{key: key, done: make(chan struct{})}
 	c.m[key] = e
 	c.pushFront(e)
 	c.mu.Unlock()
@@ -121,70 +114,29 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, error) {
 	return val, err
 }
 
-// Seed installs a completed entry without running a computation — the
-// import path for shard artifacts. It reports whether the entry was
-// installed; an existing entry (computed, seeded, or in flight) is never
-// overwritten, so a seed can only agree with what a computation would have
-// produced. Seeding counts as neither a hit nor a miss.
-func (c *Cache[V]) Seed(key string, val V, err error) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; ok {
-		return false
-	}
-	e := &cacheEntry[V]{key: key, done: make(chan struct{}), val: val, err: err, completed: true, seeded: true}
-	close(e.done)
-	c.m[key] = e
-	c.pushFront(e)
-	c.evictLocked()
-	return true
-}
-
 // Each snapshots every completed entry and calls fn for each, in unspecified
 // order (callers sort). In-flight computations are skipped — an artifact
 // export captures what has finished, which is everything once the owning
 // driver returns.
 func (c *Cache[V]) Each(fn func(key string, val V, err error)) {
-	c.EachInfo(func(key string, val V, err error, _ EntryInfo) { fn(key, val, err) })
-}
-
-// EntryInfo is the provenance of one completed cache entry: whether its
-// value was seeded from an artifact rather than computed here, and how many
-// Do calls this entry answered (seeding itself counts as none; the caller
-// that computed a fresh entry counts as one). The delta detector of the
-// incremental campaign engine classifies keys with it: a seeded entry with
-// uses is a baseline hit, a seeded entry without uses is a dropped baseline
-// key, an unseeded entry is fresh work.
-type EntryInfo struct {
-	Seeded bool
-	Uses   int64
-}
-
-// EachInfo is Each with each entry's provenance attached.
-func (c *Cache[V]) EachInfo(fn func(key string, val V, err error, info EntryInfo)) {
 	if c == nil {
 		return
 	}
 	type snap struct {
-		key  string
-		val  V
-		err  error
-		info EntryInfo
+		key string
+		val V
+		err error
 	}
 	c.mu.Lock()
 	entries := make([]snap, 0, len(c.m))
 	for _, e := range c.m {
 		if e.completed {
-			entries = append(entries, snap{key: e.key, val: e.val, err: e.err,
-				info: EntryInfo{Seeded: e.seeded, Uses: e.uses}})
+			entries = append(entries, snap{key: e.key, val: e.val, err: e.err})
 		}
 	}
 	c.mu.Unlock()
 	for _, s := range entries {
-		fn(s.key, s.val, s.err, s.info)
+		fn(s.key, s.val, s.err)
 	}
 }
 
@@ -242,8 +194,7 @@ func (c *Cache[V]) evictLocked() {
 	}
 }
 
-// Len reports how many distinct keys are resident (computed, seeded, or in
-// flight).
+// Len reports how many distinct keys are resident (computed or in flight).
 func (c *Cache[V]) Len() int {
 	if c == nil {
 		return 0

@@ -128,49 +128,48 @@ func TestCacheSingleFlightAfterEviction(t *testing.T) {
 	}
 }
 
-// TestCacheSeedAndEach: seeded entries behave like computed ones (served
-// without recomputation, visible to Each, subject to the cap), and Seed
-// refuses to overwrite.
-func TestCacheSeedAndEach(t *testing.T) {
+// TestCacheEach: Each snapshots exactly the completed entries — an
+// in-flight computation is skipped, not waited on — and sees only what
+// the cap left resident.
+func TestCacheEach(t *testing.T) {
 	c := NewCacheCap[int](2)
-	if !c.Seed("a", 10, nil) {
-		t.Fatal("Seed(a) rejected on empty cache")
+	for i, k := range []string{"a", "b", "c"} { // c evicts the LRU entry
+		c.Do(k, func() (int, error) { return 10 * (i + 1), nil })
 	}
-	if c.Seed("a", 99, nil) {
-		t.Fatal("Seed(a) overwrote an existing entry")
-	}
-	v, err := c.Do("a", func() (int, error) {
-		t.Fatal("seeded key recomputed")
-		return 0, nil
-	})
-	if err != nil || v != 10 {
-		t.Fatalf("Do(seeded a) = %d, %v", v, err)
-	}
-	c.Seed("b", 20, nil)
-	c.Seed("c", 30, nil) // evicts the LRU entry
 	if got := c.Len(); got != 2 {
-		t.Errorf("Len = %d after seeding past cap", got)
+		t.Errorf("Len = %d after computing past cap", got)
 	}
 	seen := map[string]int{}
 	c.Each(func(key string, val int, err error) { seen[key] = val })
-	if len(seen) != 2 {
-		t.Errorf("Each saw %d entries, want 2: %v", len(seen), seen)
+	if len(seen) != 2 || seen["b"] != 20 || seen["c"] != 30 {
+		t.Errorf("Each saw %v, want b=20 c=30", seen)
 	}
-	// An unbounded cache seeds without eviction and Each sees everything.
+	// An entry still computing is invisible to Each.
 	u := NewCache[int]()
 	for i := 0; i < 5; i++ {
-		u.Seed(fmt.Sprintf("k%d", i), i, nil)
+		u.Do(fmt.Sprintf("k%d", i), func() (int, error) { return i, nil })
 	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		u.Do("inflight", func() (int, error) { close(started); <-release; return -1, nil })
+	}()
+	<-started
 	n := 0
-	u.Each(func(string, int, error) { n++ })
+	u.Each(func(key string, _ int, _ error) {
+		if key == "inflight" {
+			t.Error("Each reported an in-flight entry")
+		}
+		n++
+	})
+	close(release)
+	<-done
 	if n != 5 {
 		t.Errorf("unbounded Each saw %d, want 5", n)
 	}
-	// Nil-cache safety for the new surface.
+	// Nil-cache safety.
 	var nc *Cache[int]
-	if nc.Seed("x", 1, nil) {
-		t.Error("nil cache accepted a seed")
-	}
 	nc.Each(func(string, int, error) { t.Error("nil cache has entries") })
 	if m := nc.Metrics(); m != (Metrics{}) {
 		t.Errorf("nil cache metrics = %+v", m)

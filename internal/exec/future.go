@@ -107,16 +107,3 @@ func (f *Future[T]) Wait() (val T, err error, ok bool) {
 	}
 	return f.val, f.err, true
 }
-
-// Ready reports whether Wait would return without blocking.
-func (f *Future[T]) Ready() bool {
-	if f == nil {
-		return true
-	}
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}

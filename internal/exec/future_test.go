@@ -17,9 +17,6 @@ func TestSubmitRunsAndWait(t *testing.T) {
 	if !ok || err != nil || v != 42 {
 		t.Fatalf("Wait = (%v, %v, %v), want (42, nil, true)", v, err, ok)
 	}
-	if !f.Ready() {
-		t.Error("completed future not Ready")
-	}
 	// Errors pass through.
 	boom := errors.New("boom")
 	f2 := Submit(sub, func() (int, error) { return 0, boom })
@@ -48,9 +45,6 @@ func TestSequentialPoolDisablesSubmission(t *testing.T) {
 	}
 	if !f.Cancel() {
 		t.Error("nil future Cancel = false")
-	}
-	if !f.Ready() {
-		t.Error("nil future not Ready")
 	}
 }
 

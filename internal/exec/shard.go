@@ -65,9 +65,6 @@ func (s Shard) String() string {
 	return fmt.Sprintf("%d/%d", s.Index, s.Count)
 }
 
-// IsSharded reports whether this shard owns only part of the index space.
-func (s Shard) IsSharded() bool { return s.Count > 1 }
-
 // Owns reports whether job index i belongs to this shard.
 func (s Shard) Owns(i int) bool {
 	if s.Count <= 1 {

@@ -72,9 +72,6 @@ func TestShardPartition(t *testing.T) {
 // TestShardZeroValueOwnsAll: the zero Shard is a valid unsharded run.
 func TestShardZeroValueOwnsAll(t *testing.T) {
 	var s Shard
-	if s.IsSharded() {
-		t.Error("zero shard reports sharded")
-	}
 	if err := s.Validate(); err != nil {
 		t.Errorf("zero shard invalid: %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 // Incremental campaigns: delta detection against a warmed baseline.
 //
 // With delta tracking enabled, WarmStart records every baseline run record
-// in addition to (in normal mode) seeding the cache with it, and after the
+// in addition to (in normal mode) importing it into the cache, and after the
 // run DeltaReport classifies every build/run key the engine touched:
 // answered from the baseline, freshly executed, dropped, or — in verify
 // mode, which recomputes instead of trusting the baseline — bit-exactly
@@ -18,8 +18,8 @@ import (
 
 // EnableDelta turns on delta tracking for this engine's warm starts.
 // Call it before WarmStart; verify selects recompute-and-compare (nothing
-// is seeded; every baseline-covered evaluation is recomputed and compared
-// bit-exactly) over seed-and-trust (the incremental fast path).
+// is imported; every baseline-covered evaluation is recomputed and compared
+// bit-exactly) over import-and-trust (the incremental fast path).
 func (e *Engine) EnableDelta(verify bool) {
 	e.delta = flit.NewDeltaTracker(verify)
 }

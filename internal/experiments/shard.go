@@ -13,11 +13,12 @@ import (
 // configurations, injection site × OP' pairs — executes only the owned
 // jobs, and exports everything its build/run cache computed as a
 // self-describing JSON artifact (flit.Artifact, keyed by
-// link.Executable.Key + flit.TestKey). Merging seeds a fresh engine's
-// cache with the union of the shards' artifacts and replays the recorded
-// command: every evaluation is then answered from the cache, so the merge
-// is cheap, and because a cache hit is bit-identical to a recomputation,
-// the merged output is byte-identical to an unsharded run by construction.
+// link.Executable.Key + flit.TestKey). Merging imports the union of the
+// shards' artifacts into a fresh engine's cache and replays the recorded
+// command: every evaluation is then answered from the imported records, so
+// the merge is cheap, and because an imported record is bit-identical to a
+// recomputation, the merged output is byte-identical to an unsharded run
+// by construction.
 // Small sequential phases (the motivation example, the Findings narrative,
 // the adaptive File Bisect prefix of each search) run redundantly on every
 // shard — the shard boundary is the expensive fan-outs, exactly as the
@@ -30,10 +31,10 @@ func (e *Engine) ExportArtifact(command []string) *flit.Artifact {
 	return e.cache.Export(e.shard, command)
 }
 
-// ImportArtifacts validates a shard set and seeds this engine's cache with
-// the union of the artifacts' results. Call it on a fresh engine before
-// running any experiment; replaying the artifacts' recorded command then
-// reproduces the unsharded output byte for byte.
+// ImportArtifacts validates a shard set, then imports the union of the
+// artifacts' results into this engine's cache. Call it on a fresh engine
+// before running any experiment; replaying the artifacts' recorded command
+// then reproduces the unsharded output byte for byte.
 func (e *Engine) ImportArtifacts(arts ...*flit.Artifact) error {
 	if err := flit.ValidateShardSet(arts); err != nil {
 		return fmt.Errorf("experiments: merging shard artifacts: %w", err)
@@ -46,7 +47,7 @@ func (e *Engine) ImportArtifacts(arts ...*flit.Artifact) error {
 	return nil
 }
 
-// WarmStart seeds this engine's cache from previously exported artifacts
+// WarmStart imports previously exported artifacts into this engine's cache
 // without requiring a complete shard set: each artifact is validated
 // individually (format and engine version — foreign results are still
 // rejected), but shard coordinates and recorded commands may differ and
@@ -57,7 +58,7 @@ func (e *Engine) ImportArtifacts(arts ...*flit.Artifact) error {
 // the shard protocol: any shard artifact doubles as a warm-start cache.
 // With delta tracking enabled (EnableDelta), each artifact also becomes
 // part of the run's baseline: the delta detector classifies every key
-// against it, and in verify mode the artifacts seed nothing — covered
+// against it, and in verify mode nothing is imported — covered
 // evaluations are recomputed and compared bit-exactly instead.
 func (e *Engine) WarmStart(arts ...*flit.Artifact) error {
 	for i, a := range arts {

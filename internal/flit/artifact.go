@@ -119,9 +119,11 @@ func recordOf(key string, v runVal) RunRecord {
 	return r
 }
 
-// Export snapshots every completed entry of the cache into an artifact.
-// The records are sorted by key, so the same cache contents always
-// serialize to the same bytes.
+// Export snapshots the cache into an artifact: every completed memo entry
+// plus the imported records a lookup was answered with — so an artifact
+// holds exactly the evaluations its run asked for, whether computed here
+// or imported. The records are sorted by key, so the same cache contents
+// always serialize to the same bytes.
 func (c *Cache) Export(shard exec.Shard, command []string) *Artifact {
 	a := &Artifact{
 		Version: ArtifactVersion,
@@ -134,28 +136,32 @@ func (c *Cache) Export(shard exec.Shard, command []string) *Artifact {
 	if c == nil {
 		return a
 	}
-	c.runs.Each(func(key string, v runVal, _ error) {
-		a.Runs = append(a.Runs, recordOf(key, v))
-	})
-	c.costs.Each(func(key string, v float64, err error) {
-		if err != nil {
-			// A cost entry can memoize a build error (key-first CostPlanned
-			// on an unbuildable plan); exporting it would seed a future run
-			// with a spurious zero-cost success.
-			return
-		}
+	c.eachRun(func(r RunRecord, _ bool) { a.Runs = append(a.Runs, r) })
+	addCost := func(key string, v float64) {
 		a.Costs = append(a.Costs, CostRecord{Key: key, Cost: math.Float64bits(v)})
+	}
+	c.costs.Each(func(key string, v float64, err error) {
+		// A cost entry can memoize a build error (CostPlanned on an
+		// unbuildable plan); exporting it would hand a future run a
+		// spurious zero-cost success.
+		if err == nil {
+			addCost(key, v)
+		}
 	})
+	c.importedCosts.eachServed(addCost)
 	sort.Slice(a.Runs, func(i, j int) bool { return a.Runs[i].Key < a.Runs[j].Key })
 	sort.Slice(a.Costs, func(i, j int) bool { return a.Costs[i].Key < a.Costs[j].Key })
 	return a
 }
 
-// Import seeds the cache with an artifact's records. Existing entries are
-// never overwritten — on a deterministic engine an artifact entry and a
-// local computation agree, so first-in wins is safe. It rejects artifacts
-// from a different format or engine version: foreign results replayed as
-// local ones would break the byte-identity guarantee silently.
+// Import adds an artifact's records to the cache's read-only imported
+// tier, decoded once. A key already imported keeps its first value — on a
+// deterministic engine every copy agrees, so first-in wins is safe. Import
+// before the cache serves lookups: it refuses once the memo holds entries,
+// since the tier is read without locking and must not shadow a computed
+// result. It rejects artifacts from a different format or engine version:
+// foreign results replayed as local ones would break the byte-identity
+// guarantee silently.
 func (c *Cache) Import(a *Artifact) error {
 	if err := a.Check(); err != nil {
 		return err
@@ -163,11 +169,14 @@ func (c *Cache) Import(a *Artifact) error {
 	if c == nil {
 		return errors.New("flit: importing into a nil cache")
 	}
+	if c.runs.Len() > 0 || c.costs.Len() > 0 {
+		return errors.New("flit: importing into a cache that has already computed results")
+	}
 	for _, r := range a.Runs {
-		c.runs.Seed(r.Key, runValOf(r), nil)
+		c.importedRuns.add(r.Key, runValOf(r))
 	}
 	for _, co := range a.Costs {
-		c.costs.Seed(co.Key, math.Float64frombits(co.Cost), nil)
+		c.importedCosts.add(co.Key, math.Float64frombits(co.Cost))
 	}
 	return nil
 }
@@ -215,10 +224,11 @@ func (r RunRecord) validate() error {
 // structural integrity. A key appearing twice in one artifact marks a
 // malformed (hand-edited, truncated-and-rejoined, or adversarial) file: a
 // healthy export snapshots a map and can never produce duplicates, and
-// importing one silently would let whichever copy seeds first answer every
-// evaluation of that key — so duplicates are rejected outright, even when
-// the copies agree. Internally inconsistent run records (a scalar-flagged
-// record carrying a vector, or the reverse) are rejected the same way.
+// importing one silently would let whichever copy is imported first answer
+// every evaluation of that key — so duplicates are rejected outright, even
+// when the copies agree. Internally inconsistent run records (a
+// scalar-flagged record carrying a vector, or the reverse) are rejected
+// the same way.
 func (a *Artifact) Check() error {
 	if a.Version != ArtifactVersion {
 		return fmt.Errorf("flit: artifact format v%d, this build reads v%d", a.Version, ArtifactVersion)

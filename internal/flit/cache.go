@@ -48,17 +48,13 @@ func RunKey(ex *link.Executable, t TestCase) string {
 // PlanRunKey is RunKey computed from an unbuilt plan: link.Plan.Key
 // produces the exact string Executable.Key would after linking (pinned by
 // FuzzPlanKeyMatchesExecutableKey), so the key-first lookups address the
-// same cache entries — and the same artifact records — as the eager path.
+// same cache entries — and the same artifact records — a built
+// executable's RunKey names.
 func PlanRunKey(b *link.Builder, t TestCase) string {
 	return b.Key() + "\x00" + comp.KeyEscape(TestKey(t))
 }
 
-// costKey addresses the memoized cost model per (executable, root symbol).
-func costKey(ex *link.Executable, root string) string {
-	return ex.Key() + "\x00" + comp.KeyEscape(root)
-}
-
-// planCostKey is costKey computed from an unbuilt plan.
+// planCostKey addresses the memoized cost model per (plan, root symbol).
 func planCostKey(b *link.Builder, root string) string {
 	return b.Key() + "\x00" + comp.KeyEscape(root)
 }
@@ -66,6 +62,49 @@ func planCostKey(b *link.Builder, root string) string {
 type runVal struct {
 	res Result
 	err error
+}
+
+// importSet is the read-only tier of records imported from artifacts
+// (Import). It is filled before the cache serves lookups and never
+// changes afterwards, so lookups read it without locking; the first
+// import of a key wins. served marks the records some lookup was
+// answered with — what an export carries forward and what the delta
+// detector counts as baseline hits.
+type importSet[V any] map[string]*imported[V]
+
+type imported[V any] struct {
+	val    V
+	served atomic.Bool
+}
+
+// add records v under key unless an earlier import already holds it.
+func (s importSet[V]) add(key string, v V) {
+	if _, ok := s[key]; !ok {
+		s[key] = &imported[V]{val: v}
+	}
+}
+
+// get answers a lookup from the set, marking the record served.
+func (s importSet[V]) get(key string) (V, bool) {
+	e, ok := s[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	if !e.served.Load() {
+		e.served.Store(true)
+	}
+	return e.val, true
+}
+
+// eachServed calls fn for every record a lookup was answered with, in
+// unspecified order (callers sort).
+func (s importSet[V]) eachServed(fn func(key string, v V)) {
+	for key, e := range s {
+		if e.served.Load() {
+			fn(key, e.val)
+		}
+	}
 }
 
 // Cache memoizes test runs keyed by (program, build plan, test): the
@@ -78,9 +117,16 @@ type runVal struct {
 // A capped cache (NewCacheCap) evicts least-recently-used run entries; the
 // toolchain is deterministic, so eviction trades recomputation for memory
 // and can never change a result.
+//
+// Records imported from artifacts do not enter the memo: they form a
+// read-only tier consulted before it, never evicted, whose hits count as
+// neither memo hits nor memo misses.
 type Cache struct {
 	runs  *exec.Cache[runVal]
 	costs *exec.Cache[float64]
+
+	importedRuns  importSet[runVal]
+	importedCosts importSet[float64]
 
 	// store, when non-nil, is the persistent second tier (SetStore):
 	// consulted key-first on every in-memory miss before any build work,
@@ -107,61 +153,22 @@ func NewCache() *Cache { return NewCacheCap(0) }
 // carry whole mesh vectors and dominate the cache's memory; the cost store
 // holds one float64 per key and stays unbounded.
 func NewCacheCap(capacity int) *Cache {
-	return &Cache{runs: exec.NewCacheCap[runVal](capacity), costs: exec.NewCache[float64]()}
+	return &Cache{runs: exec.NewCacheCap[runVal](capacity), costs: exec.NewCache[float64](),
+		importedRuns: importSet[runVal]{}, importedCosts: importSet[float64]{}}
 }
 
-// RunAll is the memoizing form of the package-level RunAll: the first
-// evaluation of a (executable, test) pair executes, every repeat — across
-// bisect steps, searches, and experiment drivers — is a cache hit with a
-// bit-identical Result. Run errors are memoized too: the toolchain is
-// deterministic, so a crashed combination crashes every time. With a
-// persistent store attached, an in-memory miss consults it before
-// executing and writes any fresh computation through.
-func (c *Cache) RunAll(t TestCase, ex *link.Executable) (Result, error) {
-	if c == nil {
-		return RunAll(t, ex)
-	}
-	key := RunKey(ex, t)
-	v, _ := c.runs.Do(key, func() (runVal, error) {
-		if v, ok := c.storeGetRun(key); ok {
-			return v, nil
-		}
-		r, err := RunAll(t, ex)
-		v := runVal{res: r, err: err}
-		c.storePutRun(key, v)
-		return v, nil
-	})
-	return v.res, v.err
-}
-
-// Cost memoizes the deterministic cost model per (executable, root): the
-// matrix runner charges every cell's runtime through this.
-func (c *Cache) Cost(ex *link.Executable, root string) float64 {
-	if c == nil {
-		return ex.Cost(root)
-	}
-	key := costKey(ex, root)
-	v, _ := c.costs.Do(key, func() (float64, error) {
-		if f, ok := c.storeGetCost(key); ok {
-			return f, nil
-		}
-		f := ex.Cost(root)
-		c.storePutCost(key, f)
-		return f, nil
-	})
-	return v
-}
-
-// RunAllPlanned is the key-first form of RunAll: the cache is consulted by
-// plan identity (PlanRunKey — the string a built Executable's RunKey would
-// be), and the plan is materialized through the builder only on a miss. A
-// warm hit therefore runs no link step, no ABI-hazard scan, and no test —
-// the fast path every covered cell of a warm-started campaign takes. A
-// persistent-store hit is the same fast path one tier out: the store is
-// consulted by the same plan key before the builder materializes, so a
-// second process sharing the store builds nothing for covered cells.
-// Errors, whether from the build or the run, are memoized like the eager
-// path's: a deterministic toolchain fails the same way every time.
+// RunAllPlanned is the memoizing, key-first form of the package-level
+// RunAll: the first evaluation of a (plan, test) pair executes, every
+// repeat — across bisect steps, searches, and experiment drivers — is a
+// hit with a bit-identical Result. The lookup is by plan identity
+// (PlanRunKey — the string a built Executable's RunKey would be): the
+// imported records first, then the memo, then the persistent store, and
+// the plan is materialized through the builder only when all three miss.
+// A hit therefore runs no link step, no ABI-hazard scan, and no test —
+// the fast path every covered cell of a warm-started campaign takes, and
+// a second process sharing a store builds nothing for covered cells.
+// Errors, whether from the build or the run, are memoized too: a
+// deterministic toolchain fails the same way every time.
 func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 	if c == nil {
 		ex, err := b.Build()
@@ -170,30 +177,42 @@ func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 		}
 		return RunAll(t, ex)
 	}
-	key := PlanRunKey(b, t)
-	computed := false
-	v, _ := c.runs.Do(key, func() (runVal, error) {
-		if v, ok := c.storeGetRun(key); ok {
-			return v, nil
-		}
-		computed = true
+	v, computed := c.lookupRun(PlanRunKey(b, t), func() runVal {
 		ex, err := b.Build()
 		if err != nil {
-			v := runVal{err: err}
-			c.storePutRun(key, v)
-			return v, nil
+			return runVal{err: err}
 		}
 		r, err := RunAll(t, ex)
-		v := runVal{res: r, err: err}
-		c.storePutRun(key, v)
-		return v, nil
+		return runVal{res: r, err: err}
 	})
 	c.noteBuilder(b, !computed)
 	return v.res, v.err
 }
 
-// CostPlanned is the key-first form of Cost: looked up by plan identity,
-// materializing (and surfacing a build error) only on a miss.
+// lookupRun answers one run key through the tiers: the imported records,
+// then the memo, whose single-flight miss consults the persistent store
+// and runs compute only when that misses too, writing the result through.
+// computed reports whether compute ran for this call.
+func (c *Cache) lookupRun(key string, compute func() runVal) (v runVal, computed bool) {
+	if v, ok := c.importedRuns.get(key); ok {
+		return v, false
+	}
+	v, _ = c.runs.Do(key, func() (runVal, error) {
+		if v, ok := c.storeGetRun(key); ok {
+			return v, nil
+		}
+		computed = true
+		v := compute()
+		c.storePutRun(key, v)
+		return v, nil
+	})
+	return v, computed
+}
+
+// CostPlanned memoizes the deterministic cost model per (plan, root) — the
+// matrix runner charges every cell's runtime through it. Lookups go
+// key-first through the same tiers as RunAllPlanned, materializing (and
+// surfacing a build error) only on a miss.
 func (c *Cache) CostPlanned(b *link.Builder, root string) (float64, error) {
 	if c == nil {
 		ex, err := b.Build()
@@ -203,6 +222,10 @@ func (c *Cache) CostPlanned(b *link.Builder, root string) (float64, error) {
 		return ex.Cost(root), nil
 	}
 	key := planCostKey(b, root)
+	if f, ok := c.importedCosts.get(key); ok {
+		c.noteBuilder(b, true)
+		return f, nil
+	}
 	computed := false
 	v, err := c.costs.Do(key, func() (float64, error) {
 		if f, ok := c.storeGetCost(key); ok {
@@ -235,36 +258,15 @@ func (c *Cache) noteBuilder(b *link.Builder, hit bool) {
 	}
 }
 
-// BuildStats reports how many plans the key-first API materialized and how
-// many builders were answered from the cache without ever linking.
-func (c *Cache) BuildStats() (builds, skipped int64) {
+// eachRun snapshots every run record the cache holds — the memo's
+// completed entries and the imported records a lookup was served with —
+// in unspecified order (callers sort). imported tells the two apart.
+func (c *Cache) eachRun(fn func(rec RunRecord, imported bool)) {
 	if c == nil {
-		return 0, 0
+		return
 	}
-	return c.builds.Load(), c.skippedBuilds.Load()
-}
-
-// RunEntry is one memoized run with its provenance: the serialized record,
-// whether the value was seeded from an artifact (vs computed by this
-// process), and how many times the cache answered a request with it. The
-// incremental campaign engine's delta detector classifies keys with it.
-type RunEntry struct {
-	Rec    RunRecord
-	Seeded bool
-	Uses   int64
-}
-
-// RunEntries snapshots every completed run entry with provenance, in
-// unspecified order (callers sort).
-func (c *Cache) RunEntries() []RunEntry {
-	if c == nil {
-		return nil
-	}
-	var out []RunEntry
-	c.runs.EachInfo(func(key string, v runVal, _ error, info exec.EntryInfo) {
-		out = append(out, RunEntry{Rec: recordOf(key, v), Seeded: info.Seeded, Uses: info.Uses})
-	})
-	return out
+	c.runs.Each(func(key string, v runVal, _ error) { fn(recordOf(key, v), false) })
+	c.importedRuns.eachServed(func(key string, v runVal) { fn(recordOf(key, v), true) })
 }
 
 // Stats reports (hits, misses) of the run cache.

@@ -153,11 +153,11 @@ func (r *DeltaReport) sort() {
 
 // DeltaTracker accumulates a baseline from warm-start artifacts and, after
 // the run, classifies the cache's contents against it. In normal mode the
-// baseline is also seeded into the cache (the incremental fast path: every
-// covered evaluation is a hit). In verify mode nothing is seeded — every
-// evaluation the run requests is recomputed and compared bit-exactly
-// against the baseline's recorded value, turning a warm-started run into a
-// variability monitor for the toolchain itself.
+// baseline is also imported into the cache (the incremental fast path:
+// every covered evaluation is answered from it). In verify mode nothing is
+// imported — every evaluation the run requests is recomputed and compared
+// bit-exactly against the baseline's recorded value, turning a
+// warm-started run into a variability monitor for the toolchain itself.
 type DeltaTracker struct {
 	verify   bool
 	baseline map[string]RunRecord
@@ -165,7 +165,7 @@ type DeltaTracker struct {
 }
 
 // NewDeltaTracker returns an empty tracker. verify selects
-// recompute-and-compare over seed-and-trust.
+// recompute-and-compare over import-and-trust.
 func NewDeltaTracker(verify bool) *DeltaTracker {
 	return &DeltaTracker{verify: verify, baseline: make(map[string]RunRecord)}
 }
@@ -177,7 +177,7 @@ func (t *DeltaTracker) Verify() bool { return t.verify }
 func (t *DeltaTracker) BaselineSize() int { return len(t.baseline) }
 
 // Seed folds one baseline artifact into the tracker and — in normal mode —
-// seeds the cache with it. Artifacts are validated individually like
+// imports it into the cache. Artifacts are validated individually like
 // warm-start (format and engine version; no complete shard set required),
 // and two baseline artifacts disagreeing on a key's bits are rejected: a
 // self-contradictory baseline cannot anchor a delta.
@@ -203,21 +203,18 @@ func (t *DeltaTracker) Seed(c *Cache, a *Artifact) error {
 	return c.Import(a)
 }
 
-// Report classifies every completed run entry of the cache against the
-// baseline and returns the delta. command is recorded as the current run's
-// identity (the baseline's recorded command rides along for context).
+// Report classifies every run record of the cache against the baseline
+// and returns the delta. command is recorded as the current run's identity
+// (the baseline's recorded command rides along for context).
 //
-// Provenance, per key: a seeded baseline entry the run requested is a
-// baseline hit — counted unchanged when the served bits equal the
-// baseline's record, changed when another import superseded them (a
-// merge's shard set seeds before the warm-start baseline and Seed never
-// overwrites); a seeded baseline entry
-// the run never requested is a dropped key; an unseeded entry covered by
-// the baseline (verify mode recomputation) is fresh and compares
-// bit-exactly — equal is unchanged, different is a divergence; an unseeded
-// entry the baseline does not cover is a new key. Seeded entries outside
-// the baseline (e.g. a merge's shard set imported alongside) belong to no
-// delta and are skipped.
+// Provenance, per key: an imported record a lookup was served with is a
+// baseline hit; a computed one (including verify mode's recomputations)
+// is fresh. Either kind the baseline covers compares bit-exactly — equal
+// is unchanged, different is changed (an imported record can differ when
+// a merge's shard set was imported before the baseline, since the first
+// import wins) — and one it does not cover is new. Baseline keys no
+// lookup reached are dropped. Imported records outside the baseline (a
+// merge's shard set) belong to no delta and are skipped.
 func (t *DeltaTracker) Report(c *Cache, command []string) *DeltaReport {
 	rep := &DeltaReport{
 		Engine:          EngineVersion,
@@ -228,43 +225,27 @@ func (t *DeltaTracker) Report(c *Cache, command []string) *DeltaReport {
 		Changed:         []DeltaChange{},
 	}
 	seen := make(map[string]bool, len(t.baseline))
-	for _, e := range c.RunEntries() {
-		base, inBase := t.baseline[e.Rec.Key]
+	c.eachRun(func(rec RunRecord, imported bool) {
+		base, inBase := t.baseline[rec.Key]
 		switch {
-		case e.Seeded && !inBase:
-			// Imported from outside the baseline; not this delta's concern.
-		case e.Seeded:
-			seen[e.Rec.Key] = true
-			if e.Uses == 0 {
-				rep.Dropped = append(rep.Dropped, base)
-				break
-			}
+		case imported && !inBase:
+			return
+		case imported:
 			rep.BaselineHits++
-			// The cache entry usually *is* the baseline record (warm-start
-			// seeded it), but when another import got there first — a
-			// merge's shard set seeds before the warm-start baseline, and
-			// Seed never overwrites — the served value is the current
-			// generation's, and it must still be compared bit-exactly.
-			if equalRecord(base, e.Rec) {
-				rep.Unchanged++
-			} else {
-				rep.Changed = append(rep.Changed, DeltaChange{Key: e.Rec.Key, Old: base, New: e.Rec})
-			}
-		case inBase:
-			seen[e.Rec.Key] = true
-			rep.Fresh++
-			if equalRecord(base, e.Rec) {
-				rep.Unchanged++
-			} else {
-				rep.Changed = append(rep.Changed, DeltaChange{Key: e.Rec.Key, Old: base, New: e.Rec})
-			}
 		default:
 			rep.Fresh++
-			rep.New = append(rep.New, e.Rec)
 		}
-	}
-	// Baseline keys that never reached the cache at all: possible only in
-	// verify mode (nothing was seeded), and exactly the dropped set there.
+		switch {
+		case !inBase:
+			rep.New = append(rep.New, rec)
+		case equalRecord(base, rec):
+			seen[rec.Key] = true
+			rep.Unchanged++
+		default:
+			seen[rec.Key] = true
+			rep.Changed = append(rep.Changed, DeltaChange{Key: rec.Key, Old: base, New: rec})
+		}
+	})
 	for key, base := range t.baseline {
 		if !seen[key] {
 			rep.Dropped = append(rep.Dropped, base)

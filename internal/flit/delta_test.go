@@ -148,10 +148,10 @@ func TestArtifactCheckRejectsDuplicateKeys(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerSeedAndTrust: in normal mode the tracker seeds the
-// cache (baseline-covered evaluations become hits) and classifies keys by
-// provenance: requested baseline keys are hits, unrequested ones dropped,
-// uncovered computations new.
+// TestDeltaTrackerSeedAndTrust: in normal mode the tracker imports the
+// baseline into the cache (baseline-covered evaluations are answered from
+// it) and classifies keys by provenance: requested baseline keys are hits,
+// unrequested ones dropped, uncovered computations new.
 func TestDeltaTrackerSeedAndTrust(t *testing.T) {
 	cache := NewCache()
 	tr := NewDeltaTracker(false)
@@ -162,14 +162,14 @@ func TestDeltaTrackerSeedAndTrust(t *testing.T) {
 		t.Fatalf("tracker state: verify=%v size=%d", tr.Verify(), tr.BaselineSize())
 	}
 	// The "run": requests "hit" (a baseline answer) and computes "new".
-	v, _ := cache.runs.Do("hit", func() (runVal, error) {
-		t.Fatal("seeded key recomputed in trust mode")
-		return runVal{}, nil
+	v, _ := cache.lookupRun("hit", func() runVal {
+		t.Fatal("imported key recomputed in trust mode")
+		return runVal{}
 	})
 	if v.res.Scalar != 1 {
-		t.Fatalf("seeded value lost: %v", v.res.Scalar)
+		t.Fatalf("imported value lost: %v", v.res.Scalar)
 	}
-	cache.runs.Do("new", func() (runVal, error) { return runVal{res: ScalarResult(9)}, nil })
+	cache.lookupRun("new", func() runVal { return runVal{res: ScalarResult(9)} })
 
 	rep := tr.Report(cache, []string{"run", "-next"})
 	if len(rep.New) != 1 || rep.New[0].Key != "new" {
@@ -186,7 +186,7 @@ func TestDeltaTrackerSeedAndTrust(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerVerifyDetectsDivergence: verify mode seeds nothing —
+// TestDeltaTrackerVerifyDetectsDivergence: verify mode imports nothing —
 // covered keys are recomputed and compared bit-exactly, so a baseline
 // whose recorded bits no longer match the engine's output is flagged as
 // changed with both bit patterns.
@@ -200,11 +200,11 @@ func TestDeltaTrackerVerifyDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.runs.Len() != 0 {
-		t.Fatalf("verify mode seeded %d entries", cache.runs.Len())
+	if cache.runs.Len() != 0 || len(cache.importedRuns) != 0 {
+		t.Fatalf("verify mode imported %d records", len(cache.importedRuns))
 	}
-	cache.runs.Do("stable", func() (runVal, error) { return runVal{res: ScalarResult(1.5)}, nil })
-	cache.runs.Do("drifted", func() (runVal, error) { return runVal{res: ScalarResult(2.5000001)}, nil })
+	cache.lookupRun("stable", func() runVal { return runVal{res: ScalarResult(1.5)} })
+	cache.lookupRun("drifted", func() runVal { return runVal{res: ScalarResult(2.5000001)} })
 
 	rep := tr.Report(cache, []string{"run"})
 	if len(rep.Changed) != 1 || rep.Changed[0].Key != "drifted" {
@@ -222,8 +222,8 @@ func TestDeltaTrackerVerifyDetectsDivergence(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerComparesSupersededSeeds: when another import seeds a
-// key before the warm-start baseline does (Seed never overwrites — the
+// TestDeltaTrackerComparesSupersededSeeds: when another import records a
+// key before the warm-start baseline does (the first import wins — the
 // merge path imports its shard set first), the cache serves the *other*
 // value; a baseline hit must still be compared bit-exactly, not trusted.
 func TestDeltaTrackerComparesSupersededSeeds(t *testing.T) {
@@ -238,16 +238,16 @@ func TestDeltaTrackerComparesSupersededSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The replay requests k and is served the current generation's bits.
-	v, _ := cache.runs.Do("k", func() (runVal, error) {
-		t.Fatal("seeded key recomputed")
-		return runVal{}, nil
+	v, _ := cache.lookupRun("k", func() runVal {
+		t.Fatal("imported key recomputed")
+		return runVal{}
 	})
 	if v.res.Scalar != 2.0 {
 		t.Fatalf("first-in-wins violated: %v", v.res.Scalar)
 	}
 	rep := tr.Report(cache, []string{"run"})
 	if len(rep.Changed) != 1 || rep.Changed[0].Key != "k" {
-		t.Fatalf("superseded seed not compared: %s", rep.Summary())
+		t.Fatalf("superseded import not compared: %s", rep.Summary())
 	}
 	if rep.Changed[0].Old.Scalar != math.Float64bits(1.0) ||
 		rep.Changed[0].New.Scalar != math.Float64bits(2.0) {

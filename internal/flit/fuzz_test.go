@@ -79,14 +79,14 @@ func FuzzRunKeyInjective(f *testing.F) {
 // either reject with an error or yield an artifact that imports cleanly —
 // never panic, and never silently merge a malformed file. In particular a
 // duplicate key (the same run recorded twice, however the copies relate)
-// must be rejected: first-in-wins seeding would otherwise let one copy
+// must be rejected: first-in-wins import would otherwise let one copy
 // silently answer for the other.
 func FuzzArtifactDecode(f *testing.F) {
 	valid := func() []byte {
 		c := NewCache()
-		c.runs.Seed("k1", runVal{res: ScalarResult(1.5)}, nil)
-		c.runs.Seed("k2", runVal{res: VecResult([]float64{1, 2})}, nil)
-		c.costs.Seed("k1", 2.5, nil)
+		c.runs.Do("k1", func() (runVal, error) { return runVal{res: ScalarResult(1.5)}, nil })
+		c.runs.Do("k2", func() (runVal, error) { return runVal{res: VecResult([]float64{1, 2})}, nil })
+		c.costs.Do("k1", func() (float64, error) { return 2.5, nil })
 		var buf bytes.Buffer
 		if err := c.Export(exec.Shard{}, []string{"run"}).WriteJSON(&buf); err != nil {
 			f.Fatal(err)
@@ -147,9 +147,16 @@ func FuzzArtifactDecode(f *testing.F) {
 		if impErr != nil {
 			return
 		}
-		// An accepted artifact must have seeded exactly its distinct keys.
-		if got := c.runs.Len(); got != len(a.Runs) {
-			t.Fatalf("accepted artifact with %d runs seeded %d entries", len(a.Runs), got)
+		// An accepted artifact must have imported exactly its distinct keys,
+		// and none of them into the memo.
+		if got := len(c.importedRuns); got != len(a.Runs) {
+			t.Fatalf("accepted artifact with %d runs imported %d records", len(a.Runs), got)
+		}
+		if got := len(c.importedCosts); got != len(a.Costs) {
+			t.Fatalf("accepted artifact with %d costs imported %d records", len(a.Costs), got)
+		}
+		if c.runs.Len() != 0 || c.costs.Len() != 0 {
+			t.Fatal("Import wrote into the memo")
 		}
 	})
 }

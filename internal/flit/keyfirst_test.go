@@ -9,10 +9,10 @@ import (
 	"repro/internal/link"
 )
 
-// TestPlanRunKeyMatchesEagerKeys: the key-first address space is the eager
-// one — a plan-derived run or cost key is byte-identical to the key the
-// built executable produces, so key-first lookups hit entries recorded by
-// the eager path and by imported artifacts.
+// TestPlanRunKeyMatchesEagerKeys: the key-first address space is the
+// built executable's — a plan-derived run or cost key is byte-identical to
+// the key the linked executable produces, so key-first lookups hit records
+// keyed by either.
 func TestPlanRunKeyMatchesEagerKeys(t *testing.T) {
 	s := newSuite()
 	plan := link.FullBuildPlan(s.Prog, s.Baseline)
@@ -24,8 +24,8 @@ func TestPlanRunKeyMatchesEagerKeys(t *testing.T) {
 	if got, want := PlanRunKey(b, s.Tests[0]), RunKey(ex, s.Tests[0]); got != want {
 		t.Fatalf("PlanRunKey %q != RunKey %q", got, want)
 	}
-	if got, want := planCostKey(b, "Kernel"), costKey(ex, "Kernel"); got != want {
-		t.Fatalf("planCostKey %q != costKey %q", got, want)
+	if got, want := planCostKey(b, "Kernel"), ex.Key()+"\x00Kernel"; got != want {
+		t.Fatalf("planCostKey %q != executable cost key %q", got, want)
 	}
 	if b.Built() {
 		t.Fatal("key construction materialized the plan")
@@ -83,25 +83,18 @@ func TestRunAllPlannedLazyOnHit(t *testing.T) {
 	if m.SkippedBuilds != 2 { // the warm run builder and the warm cost builder
 		t.Errorf("SkippedBuilds = %d, want 2", m.SkippedBuilds)
 	}
-	if b, sk := cache.BuildStats(); b != m.Builds || sk != m.SkippedBuilds {
-		t.Errorf("BuildStats (%d,%d) disagrees with Metrics (%d,%d)", b, sk, m.Builds, m.SkippedBuilds)
-	}
 
-	// The eager and the key-first forms share entries both ways.
+	// The uncached reference agrees bit for bit.
 	ex, err := link.Link(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, _ := cache.Stats()
-	eager, err := cache.RunAll(s.Tests[0], ex)
+	ref, err := RunAll(s.Tests[0], ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits1, _ := cache.Stats(); hits1 != hits0+1 {
-		t.Error("eager RunAll missed the entry the key-first path recorded")
-	}
-	if L2Diff(first, eager) != 0 {
-		t.Fatal("eager hit returned different bits")
+	if L2Diff(first, ref) != 0 {
+		t.Fatal("key-first result differs from the uncached run")
 	}
 
 	// A nil cache still works — it just builds and runs.

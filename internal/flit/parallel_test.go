@@ -60,39 +60,36 @@ func TestRunMatrixParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheRunAllMemoizes: repeated (executable, test) evaluations through
-// a Cache run once and return the identical result.
+// TestCacheRunAllMemoizes: repeated (plan, test) evaluations through a
+// Cache run once and return the result the uncached RunAll computes.
 func TestCacheRunAllMemoizes(t *testing.T) {
 	s := newSuite()
-	ex, err := link.FullBuild(s.Prog, s.Baseline)
+	plan := link.FullBuildPlan(s.Prog, s.Baseline)
+	ex, err := link.Link(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunAll(s.Tests[0], ex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCache()
-	first, err := cache.RunAll(s.Tests[0], ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := cache.RunAll(s.Tests[0], ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if L2Diff(first, again) != 0 {
-		t.Error("cached result differs from first run")
+	for i := 0; i < 2; i++ {
+		r, err := cache.RunAllPlanned(s.Tests[0], link.NewBuilder(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if L2Diff(ref, r) != 0 {
+			t.Errorf("lookup %d differs from the uncached run", i)
+		}
 	}
 	hits, misses := cache.Stats()
 	if hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
-	// A nil cache is valid and simply runs.
-	var nc *Cache
-	r, err := nc.RunAll(s.Tests[0], ex)
-	if err != nil || L2Diff(first, r) != 0 {
-		t.Errorf("nil-cache RunAll: %v (diff %g)", err, L2Diff(first, r))
-	}
 	// Cost memoization returns the model value.
-	if got, want := cache.Cost(ex, "Kernel"), ex.Cost("Kernel"); got != want {
-		t.Errorf("cached cost %g != %g", got, want)
+	if got, err := cache.CostPlanned(link.NewBuilder(plan), "Kernel"); err != nil || got != ex.Cost("Kernel") {
+		t.Errorf("cached cost %g, %v != %g", got, err, ex.Cost("Kernel"))
 	}
 }
 

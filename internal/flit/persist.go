@@ -15,9 +15,10 @@ import (
 // value through. The payloads are the artifact layer's own records —
 // RunRecord and CostRecord, floats as IEEE-754 bit patterns — so a store
 // hit is bit-identical to the computation it replaces, exactly like an
-// artifact seed, and the store is fenced to one EngineVersion the same
-// way artifacts are (the Disk backend refuses foreign directories at
-// Open; every decoded record is additionally validated here).
+// imported artifact record, and the store is fenced to one EngineVersion
+// the same way artifacts are (the Disk backend refuses foreign
+// directories at Open; every decoded record is additionally validated
+// here).
 //
 // Trust boundary: the store is a cache of recomputable results, never an
 // authority. Anything that does not decode, validate, and match its key

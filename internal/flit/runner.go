@@ -71,13 +71,6 @@ func (s *Suite) refComp() comp.Compilation {
 	return s.Reference
 }
 
-// BaselineResult computes (once) the trusted result for one test. The
-// lookup is key-first: a cached or seeded baseline run never rebuilds the
-// baseline executable.
-func (s *Suite) BaselineResult(t TestCase) (Result, error) {
-	return s.Cache.RunAllPlanned(t, link.NewBuilder(link.FullBuildPlan(s.Prog, s.Baseline)))
-}
-
 // RunMatrix executes every test under every compilation, comparing each
 // result against the baseline compilation's result. Full builds are never
 // object-file mixes, so they cannot segfault; an error in a cell is
@@ -195,9 +188,6 @@ func (r *Results) TestNames() []string {
 	}
 	return out
 }
-
-// BaselineNorm returns ||baseline result|| for one test.
-func (r *Results) BaselineNorm(test string) float64 { return r.baseNorm[test] }
 
 // Baseline returns the trusted result for one test.
 func (r *Results) Baseline(test string) Result { return r.baseline[test] }

@@ -142,8 +142,8 @@ func TestUnsafeDivReciprocal(t *testing.T) {
 func TestUnsafeSumReassociation(t *testing.T) {
 	strict := NewEnv(Strict)
 	unsafe := NewEnv(Semantics{ReassocWidth: 1, UnsafeMath: true})
-	a, b, c, d := 1e16, -1e16, 1.0, -0.5
-	if strict.Sum4(a, b, c, d) == unsafe.Sum4(a, c, b, d) && strict.Sum3(a, c, b) == unsafe.Sum3(a, c, b) {
+	a, b, c := 1e16, -1e16, 1.0
+	if strict.Sum3(a, c, b) == unsafe.Sum3(a, c, b) {
 		t.Log("catastrophic case did not differ; checking a broader sweep")
 	}
 	diff := false
@@ -309,7 +309,7 @@ func TestDDExactness(t *testing.T) {
 	}
 }
 
-func TestAxpyScaleLerp(t *testing.T) {
+func TestAxpyScale(t *testing.T) {
 	e := NewEnv(Strict)
 	x := []float64{1, 2, 3}
 	y := []float64{10, 20, 30}
@@ -323,9 +323,6 @@ func TestAxpyScaleLerp(t *testing.T) {
 	e.Scale(0.5, y)
 	if y[0] != 6 || y[2] != 18 {
 		t.Fatalf("Scale wrong: %v", y)
-	}
-	if got := e.Lerp(2, 4, 0.5); got != 3 {
-		t.Fatalf("Lerp(2,4,0.5) = %g", got)
 	}
 }
 

@@ -229,21 +229,6 @@ func (e *Env) Sum3(a, b, c float64) float64 {
 	return e.flush((a + b) + c)
 }
 
-// Sum4 adds four values. UnsafeMath uses a balanced tree (a+b)+(c+d) in
-// place of the strict sequential ((a+b)+c)+d.
-func (e *Env) Sum4(a, b, c, d float64) float64 {
-	a = e.step(a)
-	if e.sem.UnsafeMath {
-		return e.flush((a + b) + (c + d))
-	}
-	return e.flush(((a + b) + c) + d)
-}
-
-// Lerp returns a + t*(b-a); contraction applies to the multiply-add.
-func (e *Env) Lerp(a, b, t float64) float64 {
-	return e.MulAdd(t, e.Sub(b, a), a)
-}
-
 // Axpy computes y[i] += alpha*x[i] in place under contraction semantics.
 func (e *Env) Axpy(alpha float64, x, y []float64) {
 	for i := range y {

@@ -212,7 +212,7 @@ func (e *Executable) Key() string {
 
 // buildKey delegates to the plan serializer: an Executable's key IS its
 // plan's key (Plan.Key for the resolved-driver plan), which is what lets
-// key-first callers look a plan up in a cache seeded by built executables.
+// key-first callers look a plan up among records keyed by built executables.
 func (e *Executable) buildKey() string {
 	return planKey(e.prog.Name, e.baseline, e.driver, e.fileComp, e.symComp)
 }

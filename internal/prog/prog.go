@@ -59,11 +59,6 @@ type Features struct {
 	Hot bool
 }
 
-// Any reports whether any feature is set.
-func (f Features) Any() bool {
-	return f.MulAdd || f.Reduction || f.Division || f.SqrtLibm || f.ShortExpr || f.Branch
-}
-
 // File is a translation unit of the simulated application.
 type File struct {
 	Name    string

@@ -211,17 +211,3 @@ func TestValidate(t *testing.T) {
 		t.Fatal("mismatched file accepted")
 	}
 }
-
-func TestFeaturesAny(t *testing.T) {
-	if (Features{}).Any() {
-		t.Fatal("empty Features reported Any")
-	}
-	for _, f := range []Features{
-		{MulAdd: true}, {Reduction: true}, {Division: true},
-		{SqrtLibm: true}, {ShortExpr: true}, {Branch: true},
-	} {
-		if !f.Any() {
-			t.Fatalf("Features %+v not Any", f)
-		}
-	}
-}

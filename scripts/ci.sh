@@ -22,7 +22,8 @@
 #   incremental      the incremental-campaign engine end to end: a warmed
 #                    re-run of the identical command reports an empty
 #                    delta, a one-flag mutation reports exactly the
-#                    mutated cells, `flit delta` agrees offline, and
+#                    mutated cells, `flit delta` agrees offline (also
+#                    on the mutation's warm-started shard export), and
 #                    `flit gc` prunes only the superseded generation
 #   bisect smoke     the speculative bisect engine end to end through a
 #                    real binary: the laghos-bisect example at -j 1 (the
@@ -131,6 +132,13 @@ mkdir -p "$ART_DIR"
 	-delta-out "$SHARD_TMP/delta.json" >"$SHARD_TMP/delta.txt"
 grep 'delta: new=1 dropped=1 changed=0' "$SHARD_TMP/delta.txt"
 grep funroll-loops "$SHARD_TMP/delta.json" >/dev/null
+# The same drift exported as a warm-started shard (outside $ART_DIR, so the
+# gc assertions below see only the two generations) carries only the
+# records its run asked for: the offline delta agrees with the online one.
+"$SHARD_TMP/quickstart" -unroll -warm-start "$ART_DIR/gen1.json" -shard 0/1 \
+	-shard-out "$SHARD_TMP/unroll-warm.json"
+"$SHARD_TMP/flit" delta -baseline "$ART_DIR/gen1.json" "$SHARD_TMP/unroll-warm.json" \
+	| grep 'delta: new=1 dropped=1 changed=0'
 "$SHARD_TMP/quickstart" -shard 0/1 -shard-out "$ART_DIR/gen2.json"
 "$SHARD_TMP/flit" delta -baseline "$ART_DIR/gen1.json" "$ART_DIR/gen2.json" \
 	>"$SHARD_TMP/delta-same.txt"
