@@ -1,9 +1,9 @@
 # Tier-1+ gate for the reproduction (see ROADMAP.md). `make ci` runs
 # scripts/ci.sh, the one definition of what the repository considers green:
 # vet, build, race + coverage, the fuzz smoke, the benchmark module's tests,
-# the bench smoke, the shard, incremental, bisect, store, remote and
-# coordinator smokes through real binaries, and the engine benchmark
-# record. The other targets run single steps of it by hand.
+# the bench smoke, and the shard, incremental, bisect, store, remote and
+# coordinator smokes through real binaries. The other targets run single
+# steps of it by hand.
 
 GO ?= go
 
@@ -36,12 +36,13 @@ fuzz-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test -short ./...
 
-# One iteration of the cheap benchmarks: keeps the harness compiling and
-# running without paying for the full study regeneration.
+# One iteration of the cheap benchmarks plus one engine-backed one
+# (Figure 6, one full matrix): keeps the harness and its shared engine
+# compiling and running without paying for the full study regeneration.
 bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkTable3CodeStats|BenchmarkMotivation' -benchtime 1x .
+	$(GO) test -run NONE -bench 'BenchmarkTable3CodeStats|BenchmarkMotivation|BenchmarkFigure6Variability' -benchtime 1x .
 
 # The full benchmark suite regenerates every table and figure of the paper
-# and times the parallel engine (BenchmarkParallelEngineSweep).
+# on one shared engine. Performance is measured by perfbench/, not here.
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x .

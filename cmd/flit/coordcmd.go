@@ -496,12 +496,7 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	defer stop()
 	wstats, werr := coord.Work(ctx, cl, runner, coord.WorkerOptions{Name: *name, Log: logW})
 	if *stats {
-		rm := remote.Metrics()
-		fmt.Fprintf(stderr, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
-			rm.Hits, rm.Misses, rm.Puts, rm.Retries, rm.Errors)
-		ro := cl.Options()
-		fmt.Fprintf(stderr, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
-			ro.Attempts, ro.AttemptTimeout, ro.Deadline)
+		printRemoteStats(stderr, remote)
 		fmt.Fprintf(stderr, "coord: completed=%d lost=%d failed=%d retries=%d\n",
 			wstats.Completed, wstats.Lost, wstats.Failed, cl.Retries())
 	}

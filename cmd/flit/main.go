@@ -569,18 +569,7 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 			m.Store.Hits, m.Store.Misses, m.Store.Puts, m.Store.Errors)
 	}
 	if o.remote != nil {
-		// The remote tier's own transport counters: retries are the re-sent
-		// requests the backoff loop spent, errors the degraded (non-honest)
-		// misses and failed uploads — a flaky or dying server shows up here
-		// while the run itself stays correct.
-		rm := o.remote.Metrics()
-		fmt.Fprintf(w, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
-			rm.Hits, rm.Misses, rm.Puts, rm.Retries, rm.Errors)
-		// The effective transport shape (defaults filled in), so a tuned
-		// -remote-retries/-remote-timeout is visible in the run record.
-		ro := o.remote.Options()
-		fmt.Fprintf(w, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
-			ro.Attempts, ro.AttemptTimeout, ro.Deadline)
+		printRemoteStats(w, o.remote)
 	}
 	// paper-execs is the Tables 2/4 cost measure and is identical at every
 	// -j; spec-execs is the speculative extra (timing-dependent) those
@@ -588,6 +577,21 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 	bs := eng.BisectStats()
 	fmt.Fprintf(w, "bisect: searches=%d paper-execs=%d spec-execs=%d\n",
 		bs.Searches, bs.Execs, bs.SpecExecs)
+}
+
+// printRemoteStats prints the remote tier's -stats lines. Retries are the
+// re-sent requests the backoff loop spent, errors the degraded
+// (non-honest) misses and failed uploads — a flaky or dying server shows
+// up here while the run itself stays correct. The config line is the
+// effective transport shape (defaults filled in), so a tuned
+// -remote-retries/-remote-timeout is visible in the run record.
+func printRemoteStats(w io.Writer, r *store.Remote) {
+	rm := r.Metrics()
+	fmt.Fprintf(w, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
+		rm.Hits, rm.Misses, rm.Puts, rm.Retries, rm.Errors)
+	ro := r.Options()
+	fmt.Fprintf(w, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
+		ro.Attempts, ro.AttemptTimeout, ro.Deadline)
 }
 
 func cmdRun(args []string, stdout, stderr io.Writer) error {

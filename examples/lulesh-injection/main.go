@@ -18,18 +18,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout); err != nil {
+	if err := run(os.Stdout, experiments.NewEngine(0)); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(w io.Writer) error {
+func run(w io.Writer, eng *experiments.Engine) error {
 	sites := inject.EnumerateSites(lulesh.Program())
 	fmt.Fprintf(w, "enumerated %d injection sites (paper: 1,094); %d total runs with 4 OP' each\n",
 		len(sites), len(sites)*4)
 
 	// A couple of illustrative single injections first.
-	study := experiments.LULESHStudy()
+	study := eng.LULESHStudy()
 	for _, probe := range []struct {
 		site inject.Site
 		op   fp.InjectOp
@@ -49,7 +49,7 @@ func run(w io.Writer) error {
 
 	// Sampled campaign: every 7th site x 4 operations.
 	fmt.Fprintln(w, "\nsampled campaign (every 7th site):")
-	sum, err := experiments.Table5(7)
+	sum, err := eng.Table5(7)
 	if err != nil {
 		return err
 	}

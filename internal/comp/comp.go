@@ -5,8 +5,8 @@
 // binary-compatibility hazards observed when object files from different
 // compilers are linked together.
 //
-// Real compilers are unavailable in this reproduction (see DESIGN.md), so a
-// compilation is interpreted: it maps every symbol of a program to an
+// Real compilers are unavailable in this reproduction, so a compilation
+// is interpreted: it maps every symbol of a program to an
 // fp.Semantics describing the floating-point transformations in force in
 // that function's generated code. Everything is a pure function of the
 // compilation triple and the symbol, made heterogeneous across functions

@@ -72,9 +72,6 @@ func NewClient(baseURL, engine string, opts *store.RemoteOptions) (*Client, erro
 // URL returns the coordinator's base URL.
 func (cl *Client) URL() string { return cl.base }
 
-// Options returns the effective (defaults-filled) transport options.
-func (cl *Client) Options() store.RemoteOptions { return cl.opts }
-
 // Retries reports how many requests the client re-sent.
 func (cl *Client) Retries() int64 { return cl.retries.Load() }
 

@@ -152,28 +152,40 @@ func mergedOutput(t *testing.T, c *coord.Coordinator, id string, command []strin
 // case aims the faults at conditional listings only (requests offering
 // If-None-Match), so they land on 304s and on changed listings' 200s, and
 // gives the clients enough attempts that no listing can exhaust its budget
-// on the script alone: every fault must be consumed, and absorbed.
+// on the script alone: every fault must be consumed, and absorbed. The
+// healthy case runs the same fleet at the default lease TTL with no
+// faults at all, and must finish without a re-lease, a failure report or
+// a quarantined shard.
 func TestCampaignsConvergeUnderFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		j           int
 		conditional bool
-	}{{"j1", 1, false}, {"j8", 8, false}, {"j8-conditional", 8, true}} {
+		healthy     bool
+	}{{"j1", 1, false, false}, {"j8", 8, false, false}, {"j8-conditional", 8, true, false},
+		{"j2-healthy", 2, false, true}} {
 		j := tc.j
 		t.Run(tc.name, func(t *testing.T) {
 			want1 := unshardedOutput(t, campaignCommand, j)
 			want2 := unshardedOutput(t, secondCommand, j)
-			c, ids := newCoord(t, coord.Options{LeaseTTL: 2 * time.Second},
+			copts := coord.Options{LeaseTTL: 2 * time.Second}
+			if tc.healthy {
+				copts = coord.Options{}
+			}
+			c, ids := newCoord(t, copts,
 				coord.Spec{Command: campaignCommand, Shards: 4},
 				coord.Spec{Command: secondCommand, Shards: 2})
 			srv, flaky := serveCampaign(t, c)
 			opts := fastOpts()
-			if tc.conditional {
+			switch {
+			case tc.healthy:
+				opts = nil
+			case tc.conditional:
 				flaky.Match = func(r *http.Request) bool { return r.Header.Get("If-None-Match") != "" }
 				flaky.Push(storetest.Err503, storetest.Stall, storetest.Pass,
 					storetest.Truncate, storetest.Corrupt, storetest.Err503)
 				opts.Attempts = 8
-			} else {
+			default:
 				flaky.Push(storetest.Err503, storetest.Pass, storetest.Stall, storetest.Pass,
 					storetest.Truncate, storetest.Corrupt, storetest.Pass, storetest.Err503,
 					storetest.WrongEngine, storetest.Pass, storetest.Err503)
@@ -220,6 +232,10 @@ func TestCampaignsConvergeUnderFaults(t *testing.T) {
 				if got := mergedOutput(t, c, ids[i], command, j); got != want {
 					t.Errorf("j=%d: campaign %s merged output differs from its unsharded run", j, ids[i])
 				}
+			}
+			if tc.healthy && (c.Releases() != 0 || c.FailReports() != 0 || c.QuarantinedShards() != 0) {
+				t.Errorf("healthy fleet: %d re-leases, %d failure reports, %d quarantined shards, want 0/0/0",
+					c.Releases(), c.FailReports(), c.QuarantinedShards())
 			}
 		})
 	}

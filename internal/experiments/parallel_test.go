@@ -5,36 +5,81 @@ import (
 	"testing"
 
 	"repro/internal/comp"
+	"repro/internal/exec"
+	"repro/internal/flit"
 )
 
-// TestSweepParallelEquivalence is the PR's headline acceptance proof: the
+// TestSweepParallelEquivalence is the end-to-end determinism proof: the
 // full experiments sweep — matrix, Table 2 bisect characterization, Laghos
 // case study, sampled injection campaign — produces byte-identical output
-// at -j 8 and -j 1.
+// at -j 1 and -j 8, on an engine warm-started from the -j 1 run's artifact
+// (which must then build no executable and miss the run cache never), and
+// replayed from the merged artifacts of a 2-shard run.
 func TestSweepParallelEquivalence(t *testing.T) {
-	seq, err := Sweep(1)
+	seqEng := NewEngine(1)
+	seq, err := seqEng.SweepDigest()
 	if err != nil {
 		t.Fatalf("sequential sweep: %v", err)
-	}
-	par, err := Sweep(8)
-	if err != nil {
-		t.Fatalf("parallel sweep: %v", err)
-	}
-	if seq != par {
-		line := 0
-		seqLines, parLines := strings.Split(seq, "\n"), strings.Split(par, "\n")
-		for i := 0; i < len(seqLines) && i < len(parLines); i++ {
-			if seqLines[i] != parLines[i] {
-				line = i
-				break
-			}
-		}
-		t.Fatalf("sweep digests differ at line %d:\n  -j 1: %q\n  -j 8: %q",
-			line, seqLines[line], parLines[line])
 	}
 	if !strings.Contains(seq, "== Table 5") {
 		t.Fatal("sweep digest missing sections")
 	}
+	par, err := NewEngine(8).SweepDigest()
+	if err != nil {
+		t.Fatalf("parallel sweep: %v", err)
+	}
+	requireSameSweep(t, "-j 8", seq, par)
+
+	warm := NewEngine(1)
+	if err := warm.WarmStart(seqEng.ExportArtifact(nil)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := warm.SweepDigest()
+	if err != nil {
+		t.Fatalf("warm-started sweep: %v", err)
+	}
+	requireSameSweep(t, "warm-started", seq, got)
+	if m := warm.CacheMetrics(); m.Builds != 0 || m.Runs.Misses != 0 {
+		t.Errorf("warm-started sweep materialized %d executables and missed the run cache %d times, want 0/0",
+			m.Builds, m.Runs.Misses)
+	}
+
+	// The distributed protocol in-process: each shard engine computes its
+	// half of every fan-out, and the collector replays the sweep from the
+	// union of their artifacts.
+	arts := make([]*flit.Artifact, 2)
+	for i := range arts {
+		eng := NewEngine(2)
+		eng.SetShard(exec.Shard{Index: i, Count: len(arts)})
+		if _, err := eng.SweepDigest(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		arts[i] = eng.ExportArtifact(nil)
+	}
+	merged := NewEngine(2)
+	if err := merged.ImportArtifacts(arts...); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = merged.SweepDigest(); err != nil {
+		t.Fatalf("merged sweep: %v", err)
+	}
+	requireSameSweep(t, "2-shard merge", seq, got)
+}
+
+// requireSameSweep fails the test at the first line where got differs
+// from the -j 1 digest want.
+func requireSameSweep(t *testing.T, label, want, got string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	wantLines, gotLines := strings.Split(want, "\n"), strings.Split(got, "\n")
+	line := 0
+	for line < len(wantLines)-1 && line < len(gotLines)-1 && wantLines[line] == gotLines[line] {
+		line++
+	}
+	t.Fatalf("%s sweep digest differs at line %d:\n  -j 1: %q\n  %s: %q",
+		label, line, wantLines[line], label, gotLines[line])
 }
 
 // TestBisectFoundSetEquivalence asserts a parallel bisect search returns
@@ -55,6 +100,9 @@ func TestBisectFoundSetEquivalence(t *testing.T) {
 		parReport, err := parWf.Bisect(parWf.TestByName(test), variable, 0)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", test, err)
+		}
+		if seqReport.SpecExecs != 0 {
+			t.Errorf("%s: sequential search performed %d speculative execs", test, seqReport.SpecExecs)
 		}
 		if seqReport.Execs != parReport.Execs {
 			t.Errorf("%s: execs %d (seq) != %d (par)", test, seqReport.Execs, parReport.Execs)
@@ -96,24 +144,5 @@ func TestCacheEngages(t *testing.T) {
 	}
 	if hits < misses {
 		t.Errorf("cache hits %d < misses %d; memoization is not engaging", hits, misses)
-	}
-}
-
-// TestSetParallelismRebuildsDefault exercises the package-level knob the
-// CLI's -j flag maps to.
-func TestSetParallelismRebuildsDefault(t *testing.T) {
-	defer SetParallelism(0) // restore the CPU-bound default for other tests
-
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Errorf("Parallelism() = %d after SetParallelism(3)", got)
-	}
-	first := Default()
-	SetParallelism(1)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("Parallelism() = %d after SetParallelism(1)", got)
-	}
-	if Default() == first {
-		t.Error("SetParallelism did not install a fresh default engine")
 	}
 }

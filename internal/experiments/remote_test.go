@@ -14,11 +14,12 @@ import (
 // "machine" boundary, one cold computation paying for every scenario. A
 // cold tiered engine (-store DIR -remote URL shape) writes the sweep
 // through a local Disk cache AND over the wire into a served shared
-// store. Then: fresh remote-only engines sharing nothing but the URL
-// reproduce the digest at -j 1 and -j 8 through a fault script (503s,
-// stalls, truncated and corrupted envelopes, foreign fences) — faults
-// must cost retries and recomputation, never the digest and never the
-// run — and a local-tier-only engine proves the write-through filled
+// store. Then: a fresh remote-only engine sharing nothing but the URL
+// reproduces the digest at -j 1 with zero builds over a clean transport;
+// more such engines reproduce it at -j 1 and -j 8 through a fault script
+// (503s, stalls, truncated and corrupted envelopes, foreign fences) —
+// faults must cost retries and recomputation, never the digest and never
+// the run — and a local-tier-only engine proves the write-through filled
 // the local cache too.
 func TestRemoteSweepAcrossMachines(t *testing.T) {
 	shared, err := store.Open(t.TempDir(), flit.EngineVersion)
@@ -62,6 +63,29 @@ func TestRemoteSweepAcrossMachines(t *testing.T) {
 		t.Fatalf("cold sweep persisted nothing: %+v", m.Store)
 	}
 
+	// A healthy transport first: a remote-only -j 1 engine evaluates
+	// exactly the sequential probes, all of which the cold run wrote, so it
+	// builds nothing, and loopback needs no retry at default options.
+	clean := NewEngine(1)
+	cleanRemote, err := store.NewRemote(srv.URL, flit.EngineVersion, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.AttachStoreTiers(cleanRemote)
+	got, err := clean.SweepDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("clean remote-warmed sweep digest differs from the cold run")
+	}
+	if m := clean.CacheMetrics(); m.Builds != 0 {
+		t.Errorf("clean remote-warmed sweep materialized %d executables, want 0", m.Builds)
+	}
+	if rm := cleanRemote.Metrics(); rm.Hits == 0 || rm.Retries != 0 || rm.Errors != 0 {
+		t.Errorf("clean loopback transport: want hits and no retries or errors, got %+v", rm)
+	}
+
 	for _, j := range []int{1, 8} {
 		flaky.Push(storetest.Err503, storetest.Stall, storetest.Truncate,
 			storetest.Corrupt, storetest.WrongEngine, storetest.Err503)
@@ -88,7 +112,7 @@ func TestRemoteSweepAcrossMachines(t *testing.T) {
 	// drop the remote and the local directory alone must carry the sweep.
 	localOnly := NewEngine(4)
 	localOnly.AttachStoreTiers(openLocal())
-	got, err := localOnly.SweepDigest()
+	got, err = localOnly.SweepDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
